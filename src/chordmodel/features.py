@@ -13,17 +13,16 @@ all 4,095 x 4,095 ordered chord pairs. When a chord has no predecessor the
 sequential features are imputed with the population mean, hence standardize
 to exactly 0.
 
-FeatureSpace bundles every per-alphabet table (spectra, pairwise distance
-matrices keyed by transposition class, harmonicity table, standardization
-stats, standardized feature tensors) and is the unit of caching: everything
+FeatureSpace bundles every per-alphabet table (pairwise distance matrices
+keyed by transposition class, harmonicity table, standardization stats,
+standardized feature tables) and is the unit of caching: everything
 downstream (model fitting, importance, the command line) reads from it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,10 +40,8 @@ from .spectrum import (
     Spectrum,
     alphabet_spectra,
     pcset_spectrum,
-    read_spectrum_cache,
     spectral_distance,
     tone_similarity_profile,
-    write_spectrum_cache,
 )
 from .voiceleading import voice_leading_distance, voice_leading_matrix
 
@@ -258,7 +255,10 @@ class FeatureSpace:
       an arbitrary context X are row rep_row[X] indexed through the
       transposition permutation, see transition_rows.
     - table: HarmonicityTable; stats: TransitionFeatureStats.
-    - rep_features: standardized features, shape (n_classes, 4095, 4).
+    - standardized: one table per feature. A context-free feature (chord
+      size, harmonicity) is a column of shape (4095,); a sequential one
+      (spectral and voice-leading distance) is a matrix of shape
+      (n_classes, 4095) laid out like the raw distances.
     - start_features: standardized features of context-free events,
       shape (4095, 4); sequential components are exactly 0.
     """
@@ -274,7 +274,7 @@ class FeatureSpace:
         self.alphabet = enumerate_alphabet()
         al = self.alphabet
 
-        spectra = self._cached_spectra(cache_dir)
+        spectra = alphabet_spectra(al.chords, params)
         rep_spectra = spectra[al.rep_ids]
         unit = spectra / np.linalg.norm(spectra, axis=1, keepdims=True)
         rep_unit = rep_spectra / np.linalg.norm(rep_spectra, axis=1, keepdims=True)
@@ -287,62 +287,40 @@ class FeatureSpace:
         )
 
         mean, sd = self.stats.mean, self.stats.sd
-        size_std = (al.sizes.astype(float) - mean[0]) / sd[0]
-        harm_std = (self.table.normalized - mean[1]) / sd[1]
-        self.rep_features = np.empty((al.n_classes, len(al), N_FEATURES))
-        self.rep_features[:, :, 0] = size_std[None, :]
-        self.rep_features[:, :, 1] = harm_std[None, :]
-        self.rep_features[:, :, 2] = (self.spectral_matrix - mean[2]) / sd[2]
-        self.rep_features[:, :, 3] = (self.vl_matrix - mean[3]) / sd[3]
-        self.start_features = np.zeros((len(al), N_FEATURES))
-        self.start_features[:, 0] = size_std
-        self.start_features[:, 1] = harm_std
+        raw = (al.sizes.astype(float), self.table.normalized,
+               self.spectral_matrix, self.vl_matrix)
+        self.standardized = tuple((r - m) / s for r, m, s in zip(raw, mean, sd))
+        self.start_features = np.stack(
+            [t if t.ndim == 1 else np.zeros(len(al)) for t in self.standardized],
+            axis=1,
+        )
         self.feature_names = FEATURE_NAMES
 
     @property
     def n_features(self) -> int:
-        return self.rep_features.shape[2]
-
-    def key(self) -> str:
-        """Hash identifying the parameterization of all cached tables."""
-        payload = json.dumps(
-            {
-                "params": self.params.key(),
-                "literal_q": self.literal_q,
-                "alphabet": self.alphabet.ordering_hash(),
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
-
-    def _cached_spectra(self, cache_dir: str | Path | None) -> np.ndarray:
-        al = self.alphabet
-        if cache_dir is None:
-            return alphabet_spectra(al.chords, self.params)
-        path = Path(cache_dir) / f"spectra-{self.params.key()}.bin"
-        if path.exists():
-            try:
-                return read_spectrum_cache(path, self.params, al.ordering_hash())
-            except ValueError:
-                path.unlink()
-        spectra = alphabet_spectra(al.chords, self.params)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_spectrum_cache(path, spectra, self.params, al.ordering_hash())
-        return spectra
+        return len(self.standardized)
 
     def _cached_vl_matrix(self, cache_dir: str | Path | None) -> np.ndarray:
         al = self.alphabet
         if cache_dir is None:
             return voice_leading_matrix(al)
         path = Path(cache_dir) / f"voiceleading-{al.ordering_hash()}.npy"
-        if path.exists():
+        try:
             matrix = np.load(path)
             if matrix.shape == (al.n_classes, len(al)):
                 return matrix
-            path.unlink()
+        except (OSError, ValueError, EOFError):
+            pass  # missing, truncated or not an .npy file: rebuild it
         matrix = voice_leading_matrix(al)
         path.parent.mkdir(parents=True, exist_ok=True)
-        np.save(path, matrix)
+        # a killed run or a concurrent reader never sees a partial file
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                np.save(fh, matrix)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
         return matrix
 
     def context_row_perm(self, context_id: int) -> tuple[int, np.ndarray]:
@@ -361,7 +339,10 @@ class FeatureSpace:
     def transition_rows(self, context_id: int) -> np.ndarray:
         """Standardized features of (context -> every chord), shape (4095, 4)."""
         row, perm = self.context_row_perm(context_id)
-        return self.rep_features[row, perm]
+        return np.stack(
+            [t[perm] if t.ndim == 1 else t[row, perm] for t in self.standardized],
+            axis=1,
+        )
 
     def raw_transition_values(
         self, context_id: int | None, continuation_id: int

@@ -216,7 +216,7 @@ def feature_importance(
 
     fits: dict[str, FitResult] = {}
     for key in required_fits(names, measures):
-        result = fit(
+        fits[key] = fit(
             corpus,
             space,
             feature_mask=_mask_for(key, names),
@@ -224,17 +224,6 @@ def feature_importance(
             w0=warm_starts.get(key),
             multiplicities=multiplicities,
         )
-        if not result.converged and key in warm_starts:
-            # a warm start this close to the optimum can stall the line
-            # search; the standard cold start is the canonical fallback
-            result = fit(
-                corpus,
-                space,
-                feature_mask=_mask_for(key, names),
-                ridge=ridge,
-                multiplicities=multiplicities,
-            )
-        fits[key] = result
 
     weights = np.full(n, np.nan)
     explained = np.full(n, np.nan)

@@ -6,15 +6,19 @@ continuation x after context ctx is exp(-E(ctx, x)) / Z(ctx), where the
 energy E is the negated weighted sum of active transition features and Z
 sums exp(-E) over the alphabet.
 
-Cost (total negative log-likelihood, nats) and its analytic gradient
-(expected minus observed feature sums) are evaluated once per collapsed
-transposition class and multiplied by counts, which keeps every evaluation
-bounded by the number of distinct classes (at most 352 softmaxes) no matter
-how large the corpus is. Accumulation follows a fixed order with exact
-summation so repeated runs are bit-identical.
+The model is log-linear, so the corpus enters the cost (total negative
+log-likelihood, nats) only through sufficient statistics: the number of
+events n_r in each context row (the start context and one row per collapsed
+transposition class, at most 352 rows however large the corpus is) and the
+observed feature sums Phi. Cost, gradient (expected minus observed feature
+sums) and Hessian (count-weighted feature covariances) come from one
+vectorised pass over those rows, in a fixed order, so repeated runs are
+bit-identical.
 
-Fitting minimizes the cost with BFGS from w = 0 (optionally ridge-penalized);
-the reported cross entropy is the per-event data term only.
+The cost is convex in the weights. Fitting finds its minimum (optionally
+ridge-penalized) by damped Newton from w = 0, the textbook fit of a
+maximum-entropy model; the reported cross entropy is the per-event data
+term only.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from .corpus import CollapsedCorpus, aggregate_counts
 from .features import FEATURE_NAMES, N_FEATURES, FeatureSpace
@@ -108,60 +110,114 @@ def conditional_distribution(ctx: PcSet | None, model: EnergyModel) -> np.ndarra
     return expd / expd.sum()
 
 
-def _class_blocks(model: EnergyModel, start: dict, trans: dict):
-    """Deterministically ordered (features, ids, counts) blocks per class.
+@dataclass(frozen=True)
+class _RowStatistics:
+    """Sufficient statistics of a count table, one row per context.
 
-    The start-symbol context forms its own block; transition classes follow
-    in sorted row order with their continuation ids relative to the class
-    representative.
+    Row 0 is the start context when any piece has a first event; the other
+    rows are the context classes in sorted order. counts[r] is the number of
+    events in row r and observed the feature sums over all events (Phi).
+    tables[k] holds active feature k's standardized values per row, shape
+    (n_rows, n_chords); a context-free feature has the same values in every
+    row and keeps one (1, n_chords) row. Tables of inactive features are
+    None.
     """
-    space = model.space
+
+    counts: np.ndarray
+    observed: np.ndarray
+    tables: tuple
+    n_chords: int
+
+
+def _statistics(
+    space: FeatureSpace, start: dict, trans: dict, mask: np.ndarray
+) -> _RowStatistics:
+    keys = sorted(trans)
+    rows = np.array([row for row, _ in keys], dtype=np.int64)
+    rels = np.array([rel for _, rel in keys], dtype=np.int64)
+    counts = np.array([trans[key] for key in keys], dtype=float)
+    classes, row_of = np.unique(rows, return_inverse=True)
+    start_ids = np.array(sorted(start), dtype=np.int64)
+    start_counts = np.array([start[i] for i in start_ids], dtype=float)
+    row_counts = np.bincount(row_of, weights=counts, minlength=len(classes))
     if start:
-        ids = np.array(sorted(start), dtype=np.int64)
-        counts = np.array([start[i] for i in ids], dtype=float)
-        yield space.start_features, ids, counts
-    by_row: dict[int, list[tuple[int, int]]] = {}
-    for (row, rel), count in trans.items():
-        by_row.setdefault(row, []).append((rel, count))
-    for row in sorted(by_row):
-        pairs = sorted(by_row[row])
-        ids = np.array([rel for rel, _ in pairs], dtype=np.int64)
-        counts = np.array([c for _, c in pairs], dtype=float)
-        yield space.rep_features[row], ids, counts
+        row_counts = np.concatenate([[start_counts.sum()], row_counts])
+
+    observed = start_counts @ space.start_features[start_ids]
+    tables = []
+    for k, table in enumerate(space.standardized):
+        context_free = table.ndim == 1
+        observed[k] += counts @ (table[rels] if context_free else table[rows, rels])
+        if not mask[k]:
+            tables.append(None)
+        elif context_free:
+            tables.append(table[None])
+        elif start:
+            tables.append(np.concatenate([space.start_features[None, :, k],
+                                          table[classes]]))
+        else:
+            tables.append(table[classes])
+    return _RowStatistics(row_counts, observed, tuple(tables), len(space.alphabet))
 
 
-def _cost_gradient(
-    model: EnergyModel, start: dict, trans: dict, ridge: float = 0.0
-) -> tuple[float, np.ndarray]:
-    """Total cost in nats and its gradient with respect to all 4 weights."""
-    w = model.effective_weights
-    cost_terms: list[float] = []
-    grad = np.zeros(model.space.n_features)
-    for features, ids, counts in _class_blocks(model, start, trans):
-        scores = features @ w
-        log_z = float(logsumexp(scores))
-        n = counts.sum()
-        cost_terms.append(n * log_z - float(counts @ scores[ids]))
-        probs = np.exp(scores - log_z)
-        grad += n * (probs @ features) - counts @ features[ids]
-    cost = math.fsum(cost_terms)
-    if ridge > 0.0:
-        cost += 0.5 * ridge * float(w @ w)
-        grad = grad + ridge * w
-    grad = np.where(model.feature_mask, grad, 0.0)
-    return cost, grad
+def _expect(probs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per-row expectation of a feature table under per-row distributions."""
+    if len(table) == 1:
+        return probs @ table[0]
+    return np.einsum("ij,ij->i", probs, table)
+
+
+def _evaluate(
+    stats: _RowStatistics, w: np.ndarray, active: np.ndarray, ridge: float
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Data cost, penalized cost, gradient and Hessian at weights w.
+
+    Gradient and Hessian cover the active features only. When every active
+    feature is context-free, all rows share one softmax.
+    """
+    tables = [stats.tables[k] for k in active]
+    scores = sum((w[k] * t for k, t in zip(active, tables)),
+                 np.zeros((1, stats.n_chords)))
+    top = scores.max(axis=1, keepdims=True)
+    expd = np.exp(scores - top)
+    z = expd.sum(axis=1)
+    probs = expd / z[:, None]
+    counts = stats.counts if len(probs) > 1 else stats.counts.sum(keepdims=True)
+    w_active = w[active]
+    data_cost = float(counts @ (top[:, 0] + np.log(z))) - float(
+        w_active @ stats.observed[active]
+    )
+    means = [_expect(probs, t) for t in tables]
+    grad = np.array([counts @ m for m in means]) - stats.observed[active]
+    hess = np.empty((len(active), len(active)))
+    for a, ta in enumerate(tables):
+        for b in range(a, len(active)):
+            second = counts @ _expect(probs, ta * tables[b])
+            hess[a, b] = hess[b, a] = second - (counts * means[a]) @ means[b]
+    cost = data_cost + 0.5 * ridge * float(w_active @ w_active)
+    grad = grad + ridge * w_active
+    hess[np.diag_indices_from(hess)] += ridge
+    return data_cost, cost, grad, hess
+
+
+def _corpus_terms(corpus: CollapsedCorpus, model: EnergyModel, ridge: float):
+    mask = model.feature_mask
+    stats = _statistics(model.space, corpus.start, corpus.trans, mask)
+    return _evaluate(stats, model.effective_weights, np.flatnonzero(mask), ridge)
 
 
 def corpus_cost(corpus: CollapsedCorpus, model: EnergyModel,
                 ridge: float = 0.0) -> float:
     """Negative log-likelihood of the corpus in nats (plus any ridge term)."""
-    return _cost_gradient(model, corpus.start, corpus.trans, ridge)[0]
+    return _corpus_terms(corpus, model, ridge)[1]
 
 
 def corpus_gradient(corpus: CollapsedCorpus, model: EnergyModel,
                     ridge: float = 0.0) -> np.ndarray:
     """Gradient of corpus_cost: expected minus observed feature sums."""
-    return _cost_gradient(model, corpus.start, corpus.trans, ridge)[1]
+    grad = np.zeros(model.space.n_features)
+    grad[model.feature_mask] = _corpus_terms(corpus, model, ridge)[2]
+    return grad
 
 
 @dataclass(frozen=True)
@@ -202,14 +258,16 @@ def fit(
     w0: np.ndarray | None = None,
     multiplicities: np.ndarray | None = None,
 ) -> FitResult:
-    """Minimize corpus cost over the active weights with BFGS.
+    """Minimize corpus cost over the active weights by damped Newton.
 
     Starts from w = 0 unless w0 is given. multiplicities reweights whole
     pieces (the resampling hook); pieces with multiplicity 0 drop out.
-    A run that stalls above the gradient tolerance is restarted once from
-    its stall point, so the whole procedure stays deterministic. The
-    returned cross entropy is the data term per event, in nats, excluding
-    any ridge penalty.
+    Each step is the minimum-norm solution of the Newton system, so a
+    singular Hessian (say, two identical features) still gives a descent
+    direction, and is halved until the cost decreases enough. The fit
+    converges when no active gradient component exceeds GRADIENT_TOL; one
+    more Newton step then polishes the weights. The returned cross entropy
+    is the data term per event, in nats, excluding any ridge penalty.
     """
     mask = (full_mask(space.n_features) if feature_mask is None
             else np.asarray(feature_mask, bool))
@@ -224,7 +282,6 @@ def fit(
     if n_events == 0:
         raise ValueError("cannot fit on an empty corpus")
 
-    model = EnergyModel(space, feature_mask=mask)
     if not mask.any():
         # no active features: every conditional is uniform over the alphabet
         return FitResult(
@@ -239,37 +296,51 @@ def fit(
         )
 
     active = np.flatnonzero(mask)
-
-    def objective(w_active: np.ndarray) -> tuple[float, np.ndarray]:
-        model.weights = np.zeros(space.n_features)
-        model.weights[active] = w_active
-        cost, grad = _cost_gradient(model, start, trans, ridge)
-        return cost, grad[active]
-
-    x0 = np.zeros(len(active))
-    if w0 is not None:
-        x0 = np.asarray(w0, dtype=float)[active]
-    options = {"gtol": GRADIENT_TOL, "maxiter": MAX_ITERATIONS}
-    result = minimize(objective, x0, jac=True, method="BFGS", options=options)
-    iterations = int(result.nit)
-    gradient_norm = float(np.max(np.abs(result.jac)))
-    if not (result.success or gradient_norm <= GRADIENT_TOL):
-        # BFGS can stall with a line-search precision loss just above the
-        # tolerance; one restart with a fresh quasi-Newton state from the
-        # stall point is deterministic and usually finishes the descent
-        result = minimize(
-            objective, result.x, jac=True, method="BFGS", options=options
-        )
-        iterations += int(result.nit)
-        gradient_norm = float(np.max(np.abs(result.jac)))
+    stats = _statistics(space, start, trans, mask)
     weights = np.zeros(space.n_features)
-    weights[active] = result.x
-    model.weights = weights
-    data_cost = _cost_gradient(model, start, trans, 0.0)[0]
+    if w0 is not None:
+        weights[active] = np.asarray(w0, dtype=float)[active]
+    data_cost, cost, grad, hess = _evaluate(stats, weights, active, ridge)
+    iterations = 0
+    while np.max(np.abs(grad)) > GRADIENT_TOL and iterations < MAX_ITERATIONS:
+        step = -np.linalg.lstsq(hess, grad, rcond=None)[0]
+        slope = float(grad @ step)
+        t = 1.0
+        for _ in range(60):
+            trial = weights.copy()
+            trial[active] += t * step
+            terms = _evaluate(stats, trial, active, ridge)
+            if terms[1] <= cost + 1e-4 * t * slope:
+                break
+            # near the optimum of a large corpus the decrease falls below the
+            # rounding of the summed cost while the gradient is still
+            # resolved: a step that leaves the cost unchanged to rounding is
+            # accepted when it shrinks the gradient
+            if (abs(terms[1] - cost) <= 64 * np.finfo(float).eps * abs(cost)
+                    and np.max(np.abs(terms[2])) < np.max(np.abs(grad))):
+                break
+            t *= 0.5
+        else:
+            break  # no step size passed: not a descent direction
+        weights = trial
+        data_cost, cost, grad, hess = terms
+        iterations += 1
+    if np.max(np.abs(grad)) <= GRADIENT_TOL:
+        # converged; one more full Newton step, kept if it shrinks the
+        # gradient, takes the weights to the rounding floor, so they do not
+        # depend on where the tolerance happened to cut the iteration
+        trial = weights.copy()
+        trial[active] -= np.linalg.lstsq(hess, grad, rcond=None)[0]
+        terms = _evaluate(stats, trial, active, ridge)
+        if np.max(np.abs(terms[2])) < np.max(np.abs(grad)):
+            weights = trial
+            data_cost, cost, grad, hess = terms
+            iterations += 1
+    gradient_norm = float(np.max(np.abs(grad)))
     return FitResult(
         weights=weights,
         cross_entropy=data_cost / n_events,
-        converged=bool(result.success or gradient_norm <= GRADIENT_TOL),
+        converged=gradient_norm <= GRADIENT_TOL,
         iterations=iterations,
         gradient_norm=gradient_norm,
         n_events=n_events,

@@ -172,7 +172,7 @@ class ChordAlphabet:
         return len(self.rep_ids)
 
     def ordering_hash(self) -> str:
-        """Hash of the enumeration order, embedded in cache file headers."""
+        """Hash of the enumeration order, embedded in cache file names."""
         import hashlib
 
         payload = ";".join(format_pcset(c) for c in self.chords)

@@ -14,8 +14,6 @@ similarity; the rectangle-rule interval width cancels in the ratio.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,8 +23,6 @@ import numpy as np
 from .pcset import N_PITCH_CLASSES, PcSet
 
 Spectrum = np.ndarray
-
-SPECTRUM_CACHE_MAGIC = b"CMSPEC1\n"
 
 
 @dataclass(frozen=True)
@@ -61,19 +57,6 @@ class SpectrumParams:
     @property
     def bin_width(self) -> float:
         return N_PITCH_CLASSES / self.n_bins
-
-    def key(self) -> str:
-        """Stable hash of the parameter values, used for cache invalidation."""
-        payload = json.dumps(
-            {
-                "rho": self.rho,
-                "sigma": self.sigma,
-                "n_harmonics": self.n_harmonics,
-                "n_bins": self.n_bins,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
 
 
 def partial_pitch_class(x: float, j: int) -> float:
@@ -193,60 +176,3 @@ def tone_similarity_profile(
     # correlation[k] = sum_i w[i] * base[(i - k) mod n]
     corr = np.fft.irfft(np.fft.rfft(w) * np.conj(np.fft.rfft(base)), n=params.n_bins)
     return np.clip(corr / (nw * nb), 0.0, 1.0)
-
-
-def write_spectrum_cache(path, matrix: np.ndarray, params: SpectrumParams,
-                         ordering_hash: str) -> None:
-    """Persist an alphabet spectra matrix in the documented binary layout.
-
-    Layout: magic bytes, one JSON header line (params, shape, chord ordering
-    hash, numpy dtype string declaring the endianness), then the row-major
-    float data.
-    """
-    data = np.ascontiguousarray(matrix, dtype="<f8")
-    header = {
-        "rho": params.rho,
-        "sigma": params.sigma,
-        "n_harmonics": params.n_harmonics,
-        "n_bins": params.n_bins,
-        "n_chords": int(data.shape[0]),
-        "ordering_hash": ordering_hash,
-        "dtype": "<f8",
-    }
-    with open(path, "wb") as fh:
-        fh.write(SPECTRUM_CACHE_MAGIC)
-        fh.write(json.dumps(header, sort_keys=True).encode("ascii"))
-        fh.write(b"\n")
-        fh.write(data.tobytes())
-
-
-def read_spectrum_cache(path, params: SpectrumParams,
-                        ordering_hash: str) -> np.ndarray:
-    """Load a spectra matrix written by write_spectrum_cache.
-
-    Raises ValueError when the header does not match the requested params or
-    chord ordering.
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(len(SPECTRUM_CACHE_MAGIC))
-        if magic != SPECTRUM_CACHE_MAGIC:
-            raise ValueError(f"{path}: not a spectrum cache file")
-        header = json.loads(fh.readline().decode("ascii"))
-        expected = {
-            "rho": params.rho,
-            "sigma": params.sigma,
-            "n_harmonics": params.n_harmonics,
-            "n_bins": params.n_bins,
-            "ordering_hash": ordering_hash,
-        }
-        for key, value in expected.items():
-            if header.get(key) != value:
-                raise ValueError(
-                    f"{path}: cache header mismatch on {key!r} "
-                    f"(file has {header.get(key)!r}, expected {value!r})"
-                )
-        n_chords = int(header["n_chords"])
-        data = np.frombuffer(
-            fh.read(n_chords * params.n_bins * 8), dtype=header["dtype"]
-        )
-    return data.reshape(n_chords, params.n_bins).astype(float)

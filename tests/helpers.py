@@ -5,20 +5,29 @@ than the production code (star-union enumeration and a covered-subset DP
 versus the production rotation-pair staircase), so agreement is evidence,
 not tautology. The harmonicity oracle evaluates the virtual-pitch profile one
 bin at a time with an explicit cosine, no FFT. The naive model oracle
-evaluates one softmax per event with no transposition grouping.
+evaluates one softmax per event with no transposition grouping, and the
+reference fit reaches the optimum with scipy's generic optimizers instead of
+the package's Newton solver.
 """
 
 from __future__ import annotations
 
+import bisect
 import copy
 import itertools
 import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import minimize, root
 
 from chordmodel.corpus import CorpusFile, Piece, collapse, preprocess_corpus
-from chordmodel.model import EnergyModel, sample_sequence
+from chordmodel.model import (
+    EnergyModel,
+    corpus_cost,
+    corpus_gradient,
+    sample_sequence,
+)
 from chordmodel.pcset import pc_distance
 from chordmodel.spectrum import (
     SpectrumParams,
@@ -49,6 +58,48 @@ def sampled_corpus(space, weights, n_pieces, length, seed) -> CorpusFile:
         for _ in range(n_pieces)
     ]
     return make_corpus(chords)
+
+
+# Functional-harmony transition weights between the degrees I..vii of a
+# major key; common-practice moves dominate, every other move is rare.
+DIATONIC_DEGREE_WEIGHTS = np.array([
+    [0.0, 3.0, 1.0, 5.0, 6.0, 3.0, 1.0],
+    [1.0, 0.0, 0.3, 1.0, 6.0, 0.3, 2.0],
+    [0.3, 0.3, 0.0, 3.0, 0.3, 5.0, 0.3],
+    [5.0, 2.0, 0.3, 0.0, 6.0, 0.3, 1.0],
+    [8.0, 0.3, 0.3, 1.0, 0.0, 3.0, 0.3],
+    [0.3, 4.0, 0.3, 4.0, 3.0, 0.0, 0.3],
+    [6.0, 0.3, 2.0, 0.3, 0.3, 0.3, 0.0],
+])
+
+
+def diatonic_corpus(seed: int, n_pieces: int) -> CorpusFile:
+    """Triad and seventh progressions in random major keys, drawn without the
+    model. With thousands of pieces the summed cost is large enough that,
+    near the optimum, cost differences fall below its float resolution.
+
+    Same draws as the benchmark's small tonal corpora (perfbench/corpora.py,
+    small_pieces(seed) is diatonic_corpus(seed, 20)).
+    """
+    rng = np.random.default_rng([seed, 1])
+    cum = np.cumsum(DIATONIC_DEGREE_WEIGHTS, axis=1)
+    cum = (cum / cum[:, -1:]).tolist()
+    scale = (0, 2, 4, 5, 7, 9, 11)
+    pieces = []
+    for _ in range(n_pieces):
+        key = int(rng.integers(12))
+        length = int(rng.integers(33, 50))
+        degree = (0, 0, 0, 5, 3)[int(rng.integers(5))]
+        seventh = False
+        chords = []
+        for k, (u_rep, u_deg, u_sev) in enumerate(rng.random((length, 3)).tolist()):
+            if k > 0 and u_rep >= 0.04:
+                degree = min(bisect.bisect(cum[degree], u_deg), 6)
+                seventh = u_sev < (0.25, 0.35, 0.2, 0.25, 0.5, 0.3, 0.5)[degree]
+            steps = (0, 2, 4, 6) if seventh else (0, 2, 4)
+            chords.append({(key + scale[(degree + s) % 7]) % 12 for s in steps})
+        pieces.append(chords)
+    return make_corpus(pieces)
 
 
 def collapsed(space, corpus: CorpusFile):
@@ -181,16 +232,42 @@ def naive_cost_gradient(corpus: CorpusFile, space, weights):
     return cost, grad
 
 
+def bfgs_reference_fit(corpus, space, feature_mask, ridge=0.0) -> np.ndarray:
+    """Weights minimizing corpus_cost over the active features, by BFGS.
+
+    BFGS stalls once cost differences fall below the float resolution of
+    the summed cost, which can leave the weights some 1e-8 short of the
+    optimum. Its result is therefore polished by solving gradient = 0 with
+    MINPACK's hybrid method, which reads no cost values.
+    """
+    active = np.flatnonzero(feature_mask)
+
+    def model(x):
+        weights = np.zeros(space.n_features)
+        weights[active] = x
+        return EnergyModel(space, weights=weights, feature_mask=feature_mask)
+
+    def gradient(x):
+        return corpus_gradient(corpus, model(x), ridge)[active]
+
+    coarse = minimize(
+        lambda x: corpus_cost(corpus, model(x), ridge),
+        np.zeros(len(active)),
+        jac=gradient,
+        method="BFGS",
+    )
+    polished = root(gradient, coarse.x, method="hybr", options={"xtol": 1e-14})
+    return model(polished.x).effective_weights
+
+
 # ---------------------------------------------------------------------------
 # duplicated-feature harness
 
 
 def duplicate_feature(space, index: int, name: str):
-    """A FeatureSpace clone with feature `index` copied as an extra column."""
+    """A FeatureSpace clone with feature `index` copied as an extra feature."""
     dup = copy.copy(space)
-    dup.rep_features = np.concatenate(
-        [space.rep_features, space.rep_features[:, :, index : index + 1]], axis=2
-    )
+    dup.standardized = tuple(space.standardized) + (space.standardized[index],)
     dup.start_features = np.concatenate(
         [space.start_features, space.start_features[:, index : index + 1]], axis=1
     )

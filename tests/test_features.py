@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chordmodel import features
 from chordmodel.features import (
     FEATURE_NAMES,
+    FeatureSpace,
     harmonicity_raw,
     min_voice_leading,
     pair_population_moments,
@@ -181,7 +183,9 @@ def test_transition_features_imputation_and_composition(space):
 def test_feature_space_tables(space):
     al = space.alphabet
     assert space.n_features == len(FEATURE_NAMES) == 4
-    assert space.rep_features.shape == (al.n_classes, len(al), 4)
+    assert [t.shape for t in space.standardized] == [
+        (len(al),), (len(al),), (al.n_classes, len(al)), (al.n_classes, len(al))
+    ]
     assert np.all(space.start_features[:, 2:] == 0.0)
     # fast path equals the slow path on random transitions
     rng = np.random.default_rng(2)
@@ -190,10 +194,42 @@ def test_feature_space_tables(space):
         slow = transition_features(al[i], al[j], space.stats, space.table, al)
         fast = space.transition_rows(i)[j]
         assert np.allclose(fast, slow.as_array(), atol=1e-9)
+    # the gathered rows are the standardized raw values, bit for bit
+    for i in (0, 1000, 4094):
+        row, perm = space.context_row_perm(i)
+        raw = np.stack([al.sizes[perm].astype(float), space.table.normalized[perm],
+                        space.spectral_matrix[row, perm], space.vl_matrix[row, perm]],
+                       axis=1)
+        assert np.array_equal(space.transition_rows(i), space.stats.standardize(raw))
     # start rows standardize the context-free features only
     for j in (0, 77, 4000):
         slow = transition_features(None, al[j], space.stats, space.table, al)
         assert np.allclose(space.start_features[j], slow.as_array(), atol=1e-12)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "empty", "not_npy", "wrong_shape"])
+def test_unreadable_voice_leading_cache_is_rebuilt(space, tmp_path, monkeypatch, damage):
+    path = tmp_path / f"voiceleading-{space.alphabet.ordering_hash()}.npy"
+    np.save(path, space.vl_matrix[:-1] if damage == "wrong_shape" else space.vl_matrix)
+    data = path.read_bytes()
+    path.write_bytes({
+        "truncated": data[: len(data) // 2],
+        "empty": b"",
+        "not_npy": b"\x00garbage" * 100,
+        "wrong_shape": data,
+    }[damage])
+    builds = []
+
+    def build(alphabet):
+        builds.append(alphabet)
+        return space.vl_matrix
+
+    monkeypatch.setattr(features, "voice_leading_matrix", build)
+    rebuilt = FeatureSpace(cache_dir=tmp_path)
+    assert len(builds) == 1
+    assert np.array_equal(rebuilt.vl_matrix, space.vl_matrix)
+    assert np.array_equal(np.load(path), space.vl_matrix)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file left
 
 
 def test_transposition_invariance_of_feature_rows(space):

@@ -16,7 +16,13 @@ from chordmodel.importance import (
 )
 from chordmodel.model import fit
 
-from helpers import collapsed, duplicate_feature, make_corpus, sampled_corpus
+from helpers import (
+    collapsed,
+    diatonic_corpus,
+    duplicate_feature,
+    make_corpus,
+    sampled_corpus,
+)
 
 NAMES = (
     "chord_size",
@@ -240,3 +246,12 @@ def test_per_composition_matches_single_piece_fit(space):
     rows = result.rows()
     assert len(rows) == 2 * len(MEASURES) * len(NAMES)
     assert {r["piece_id"] for r in rows} == {"a", "b"}
+
+
+def test_warm_started_replicate_nest_converges_on_a_large_corpus(space):
+    """The point nest and the warm-started nest of a bootstrap replicate on
+    about 1e5 events converge in every sub-fit."""
+    cc = collapsed(space, diatonic_corpus(1, n_pieces=2500))
+    result = bootstrap(cc, space, n_replicates=1, seed=0)
+    assert result.point.nonconverged_fits == ()
+    assert result.n_nonconverged == 0

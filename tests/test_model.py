@@ -7,10 +7,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordmodel.corpus import collapse
 from chordmodel.model import (
+    GRADIENT_TOL,
     EnergyModel,
+    _corpus_terms,
     conditional_distribution,
     corpus_cost,
     corpus_gradient,
@@ -21,7 +25,14 @@ from chordmodel.model import (
     sample_sequence,
 )
 
-from helpers import collapsed, make_corpus, naive_cost_gradient, sampled_corpus
+from helpers import (
+    bfgs_reference_fit,
+    collapsed,
+    diatonic_corpus,
+    make_corpus,
+    naive_cost_gradient,
+    sampled_corpus,
+)
 
 WEIGHTS = np.array([0.5, 1.0, -1.0, -0.5])
 
@@ -98,6 +109,33 @@ def test_gradient_matches_finite_differences(space, small_corpus):
         assert abs(grad[k] - fd) < 1e-5 * max(1.0, abs(fd))
 
 
+def test_hessian_matches_central_differences(space, small_corpus):
+    w = np.array([0.3, -0.4, 0.8, -0.6])
+    eps = 1e-5
+    for mask, ridge in [
+        (full_mask(), 0.0),
+        (mask_from_names(["harmonicity", "voice_leading_distance"]), 0.7),
+    ]:
+        active = np.flatnonzero(mask)
+        hess = _corpus_terms(
+            small_corpus, EnergyModel(space, weights=w, feature_mask=mask), ridge
+        )[3]
+        assert hess.shape == (len(active), len(active))
+        for a, k in enumerate(active):
+            wp, wm = w.copy(), w.copy()
+            wp[k] += eps
+            wm[k] -= eps
+            fd = (
+                corpus_gradient(
+                    small_corpus, EnergyModel(space, wp, feature_mask=mask), ridge
+                )
+                - corpus_gradient(
+                    small_corpus, EnergyModel(space, wm, feature_mask=mask), ridge
+                )
+            )[active] / (2 * eps)
+            assert np.all(np.abs(hess[a] - fd) <= 1e-6 * np.maximum(1.0, np.abs(fd)))
+
+
 def test_collapsed_gradient_matches_event_by_event(space):
     corpus = make_corpus(
         [
@@ -138,6 +176,51 @@ def test_fit_recovers_generating_weights(space):
     result = fit(collapsed(space, corpus), space)
     assert result.converged
     assert np.all(np.abs(result.weights - WEIGHTS) < 0.15)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    diatonic=st.booleans(),
+    seed=st.integers(0, 10_000),
+    size=st.integers(3, 12),
+    weights=st.lists(st.floats(-1.5, 1.5), min_size=4, max_size=4),
+    mask_bits=st.integers(1, 15),
+    ridge=st.sampled_from([0.0, 0.5]),
+)
+def test_newton_matches_bfgs_reference(
+    space, diatonic, seed, size, weights, mask_bits, ridge
+):
+    if diatonic:
+        corpus = diatonic_corpus(seed, n_pieces=3 * size)
+    else:
+        corpus = sampled_corpus(space, weights, n_pieces=size, length=15, seed=seed)
+    cc = collapsed(space, corpus)
+    mask = np.array([mask_bits >> k & 1 for k in range(4)], dtype=bool)
+    result = fit(cc, space, feature_mask=mask, ridge=ridge)
+    reference = bfgs_reference_fit(cc, space, mask, ridge)
+    assert result.converged
+    assert np.max(np.abs(result.weights - reference)) <= 1e-8
+
+    # the penalized cost per event is stationary at the optimum (it is the
+    # cross entropy when ridge = 0), so it must agree to rounding
+    def objective(w):
+        return corpus_cost(cc, EnergyModel(space, w, feature_mask=mask), ridge)
+
+    per_event = objective(result.weights) / cc.n_events
+    assert abs(per_event - objective(reference) / cc.n_events) <= 1e-12
+    if ridge == 0.0:
+        assert result.cross_entropy == pytest.approx(per_event, abs=1e-15)
+
+
+def test_fit_converges_on_a_large_diatonic_corpus(space):
+    """About 1e5 events: cost differences near the optimum fall below the
+    float resolution of the summed cost while the gradient is still above
+    GRADIENT_TOL, so a fit that can only compare costs stalls there."""
+    cc = collapsed(space, diatonic_corpus(1, n_pieces=2500))
+    assert cc.n_events > 90_000
+    result = fit(cc, space)
+    assert result.converged
+    assert result.gradient_norm <= GRADIENT_TOL == 1e-6
 
 
 def test_nested_masks_never_increase_cross_entropy(space, small_corpus):

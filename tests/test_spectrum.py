@@ -16,10 +16,8 @@ from chordmodel.spectrum import (
     harmonic_tone_spectrum,
     partial_pitch_class,
     pcset_spectrum,
-    read_spectrum_cache,
     spectral_distance,
     tone_similarity_profile,
-    write_spectrum_cache,
 )
 
 pcsets = st.sets(st.integers(0, 11), min_size=1).map(lambda s: tuple(sorted(s)))
@@ -151,22 +149,3 @@ def test_tone_similarity_profile_matches_pointwise_cosine():
         assert abs(profile[k] - expected) < 1e-9
     # major triad: root is a far better tone match than the tritone
     assert profile[0] > profile[600]
-
-
-def test_spectrum_cache_round_trip(tmp_path):
-    params = SpectrumParams()
-    matrix = np.vstack([pcset_spectrum((0,), params),
-                        pcset_spectrum((0, 4, 7), params)])
-    path = tmp_path / "spec.bin"
-    write_spectrum_cache(path, matrix, params, "orderhash")
-    back = read_spectrum_cache(path, params, "orderhash")
-    assert np.array_equal(back, matrix)
-    # header mismatches refuse to load rather than return wrong data
-    with pytest.raises(ValueError):
-        read_spectrum_cache(path, params, "other")
-    with pytest.raises(ValueError):
-        read_spectrum_cache(path, SpectrumParams(n_harmonics=11), "orderhash")
-    truncated = tmp_path / "trunc.bin"
-    truncated.write_bytes(path.read_bytes()[:40])
-    with pytest.raises(ValueError):
-        read_spectrum_cache(truncated, params, "orderhash")
