@@ -23,6 +23,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -184,14 +185,26 @@ def _csv_value(v) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, columns, rows, config: RunConfig) -> None:
+def _write_csv(fh, columns, rows, config: RunConfig) -> None:
+    """Write the two config header lines and the rows to a text stream."""
+    fh.write(f"# config_hash: {config.hash()}\n")
+    fh.write(f"# config: {json.dumps(config.to_dict(), sort_keys=True)}\n")
+    writer = csv.writer(fh)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_csv_value(row.get(c)) for c in columns])
+
+
+def _write_csv_file(path: Path, columns, rows, config: RunConfig) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# config_hash: {config.hash()}\n")
-        fh.write(f"# config: {json.dumps(config.to_dict(), sort_keys=True)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_csv_value(row.get(c)) for c in columns])
+        _write_csv(fh, columns, rows, config)
+
+
+def _finite(ctx, param, value: float) -> float:
+    """Click callback: reject nan and inf, which range types let through."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value!r} is not finite.")
+    return value
 
 
 @click.group()
@@ -234,15 +247,10 @@ def cmd_features(corpus_path, output, corpus_format, label_map,
 
     if output is None:
         buf = io.StringIO()
-        buf.write(f"# config_hash: {config.hash()}\n")
-        buf.write(f"# config: {json.dumps(config.to_dict(), sort_keys=True)}\n")
-        writer = csv.writer(buf)
-        writer.writerow(FEATURE_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_csv_value(row.get(c)) for c in FEATURE_CSV_COLUMNS])
+        _write_csv(buf, FEATURE_CSV_COLUMNS, rows, config)
         click.echo(buf.getvalue(), nl=False)
     else:
-        _write_csv(Path(output), FEATURE_CSV_COLUMNS, rows, config)
+        _write_csv_file(Path(output), FEATURE_CSV_COLUMNS, rows, config)
         click.echo(f"wrote {len(rows)} event rows to {output}")
 
 
@@ -253,7 +261,8 @@ def cmd_features(corpus_path, output, corpus_format, label_map,
 @click.option("--features", "features_spec", default=None,
               help="Comma-separated active features, or 'none' for the "
                    "uniform null model (default: all four).")
-@click.option("--ridge", type=float, default=0.0, show_default=True,
+@click.option("--ridge", type=click.FloatRange(min=0.0), default=0.0,
+              show_default=True, callback=_finite,
               help="L2 penalty strength on the weights.")
 @_corpus_options
 @_spectrum_options
@@ -290,20 +299,25 @@ def cmd_fit(corpus_path, output, features_spec, ridge, corpus_format, label_map,
               help="Output prefix; writes PREFIX.json and PREFIX.csv, plus "
                    "PREFIX.pieces.csv with --per-piece (default: JSON to "
                    "stdout).")
-@click.option("--bootstrap", "bootstrap_b", type=int, default=0,
-              show_default=True,
+@click.option("--bootstrap", "bootstrap_b", type=click.IntRange(min=0),
+              default=0, show_default=True,
               help="Bootstrap replicate count; 0 disables intervals.")
-@click.option("--level", type=float, default=0.99, show_default=True,
+@click.option("--level", type=click.FloatRange(0.0, 1.0, min_open=True,
+                                               max_open=True),
+              default=0.99, show_default=True, callback=_finite,
               help="Bootstrap confidence level.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Root seed for bootstrap resampling.")
-@click.option("--ridge", type=float, default=0.0, show_default=True,
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True, help="Root seed for bootstrap resampling.")
+@click.option("--ridge", type=click.FloatRange(min=0.0), default=0.0,
+              show_default=True, callback=_finite,
               help="L2 penalty for corpus-level fits.")
 @click.option("--per-piece", is_flag=True,
               help="Also fit every composition separately.")
-@click.option("--piece-ridge", type=float, default=1e-3, show_default=True,
+@click.option("--piece-ridge", type=click.FloatRange(min=0.0), default=1e-3,
+              show_default=True, callback=_finite,
               help="L2 penalty for per-composition fits.")
-@click.option("--threads", type=int, default=1, show_default=True,
+@click.option("--threads", type=click.IntRange(min=1), default=1,
+              show_default=True,
               help="Worker threads for bootstrap replicates.")
 @_corpus_options
 @_spectrum_options
@@ -312,10 +326,6 @@ def cmd_importance(corpus_path, output_prefix, bootstrap_b, level, seed, ridge,
                    rho, sigma, harmonics, bins, q_literal, cache_dir) -> None:
     """Per-feature weight, explained entropy, and unique explained entropy."""
     fmt = _resolve_format(corpus_path, corpus_format)
-    if bootstrap_b < 0:
-        raise click.UsageError("--bootstrap must be >= 0")
-    if not 0.0 < level < 1.0:
-        raise click.UsageError("--level must be strictly between 0 and 1")
     config = RunConfig(rho=rho, sigma=sigma, harmonics=harmonics, bins=bins,
                        q_literal=q_literal, ridge=ridge, bootstrap=bootstrap_b,
                        seed=seed, level=level, corpus_format=fmt)
@@ -365,11 +375,11 @@ def cmd_importance(corpus_path, output_prefix, bootstrap_b, level, seed, ridge,
     json_path = Path(f"{output_prefix}.json")
     csv_path = Path(f"{output_prefix}.csv")
     _write_json(json_path, payload)
-    _write_csv(csv_path, IMPORTANCE_CSV_COLUMNS, rows, config)
+    _write_csv_file(csv_path, IMPORTANCE_CSV_COLUMNS, rows, config)
     written = [str(json_path), str(csv_path)]
     if pc is not None:
         pieces_csv = Path(f"{output_prefix}.pieces.csv")
-        _write_csv(pieces_csv, PIECE_CSV_COLUMNS, pc.rows(), config)
+        _write_csv_file(pieces_csv, PIECE_CSV_COLUMNS, pc.rows(), config)
         written.append(str(pieces_csv))
         if pc.skipped:
             click.echo(
@@ -421,12 +431,12 @@ def _weights_from_file(path: str) -> np.ndarray:
 @click.argument("weights_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--output", type=click.Path(dir_okay=False), required=True,
               help="Corpus destination.")
-@click.option("-n", "--pieces", "n_pieces", type=int, default=1,
-              show_default=True, help="Number of pieces to sample.")
-@click.option("--length", type=int, default=10, show_default=True,
-              help="Chords per piece.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Sampling seed.")
+@click.option("-n", "--pieces", "n_pieces", type=click.IntRange(min=1),
+              default=1, show_default=True, help="Number of pieces to sample.")
+@click.option("--length", type=click.IntRange(min=1), default=10,
+              show_default=True, help="Chords per piece.")
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True, help="Sampling seed.")
 @click.option("--format", "corpus_format",
               type=click.Choice(["plain", "jsonl"]), default="plain",
               show_default=True, help="Output corpus format.")
@@ -434,8 +444,6 @@ def _weights_from_file(path: str) -> np.ndarray:
 def cmd_sample(weights_path, output, n_pieces, length, seed, corpus_format,
                rho, sigma, harmonics, bins, q_literal, cache_dir) -> None:
     """Sample a synthetic corpus from a weights JSON file."""
-    if n_pieces < 1 or length < 1:
-        raise click.UsageError("--pieces and --length must be >= 1")
     weights = _weights_from_file(weights_path)
     config = RunConfig(rho=rho, sigma=sigma, harmonics=harmonics, bins=bins,
                        q_literal=q_literal, seed=seed,

@@ -263,15 +263,29 @@ class CollapsedPiece:
 
 @dataclass(frozen=True)
 class CollapsedCorpus:
-    """Per-piece collapsed counts plus their corpus-level aggregate."""
+    """Per-piece collapsed counts plus their corpus-level aggregate.
+
+    n_events, start and trans are derived from the pieces: each is the sum
+    over the pieces, so a piece listed k times counts k times (a bootstrap
+    replicate is the resampled pieces, repeats included).
+    """
 
     pieces: tuple[CollapsedPiece, ...]
-    start: dict[int, int]
-    trans: dict[tuple[int, int], int]
+    n_events: int = field(init=False)
+    start: dict[int, int] = field(init=False)
+    trans: dict[tuple[int, int], int] = field(init=False)
 
-    @property
-    def n_events(self) -> int:
-        return sum(p.n_events for p in self.pieces)
+    def __post_init__(self) -> None:
+        start: dict[int, int] = {}
+        trans: dict[tuple[int, int], int] = {}
+        for piece in self.pieces:
+            for key, count in piece.start.items():
+                start[key] = start.get(key, 0) + count
+            for key2, count in piece.trans.items():
+                trans[key2] = trans.get(key2, 0) + count
+        object.__setattr__(self, "n_events", sum(p.n_events for p in self.pieces))
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "trans", trans)
 
     @property
     def n_classes(self) -> int:
@@ -300,28 +314,11 @@ def collapse_piece(piece: Piece, alphabet: ChordAlphabet) -> CollapsedPiece:
     )
 
 
-def aggregate_counts(
-    pieces: tuple[CollapsedPiece, ...], multiplicities=None
-) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
-    """Sum per-piece counts, each piece weighted by its multiplicity."""
-    start: dict[int, int] = {}
-    trans: dict[tuple[int, int], int] = {}
-    for k, piece in enumerate(pieces):
-        m = 1 if multiplicities is None else int(multiplicities[k])
-        if m == 0:
-            continue
-        for key, count in piece.start.items():
-            start[key] = start.get(key, 0) + m * count
-        for key2, count in piece.trans.items():
-            trans[key2] = trans.get(key2, 0) + m * count
-    return start, trans
-
-
 def collapse(
     corpus: CorpusFile, alphabet: ChordAlphabet | None = None
 ) -> CollapsedCorpus:
     """Collapse a preprocessed corpus into transposition-class counts."""
     alphabet = alphabet or enumerate_alphabet()
-    pieces = tuple(collapse_piece(p, alphabet) for p in corpus.pieces)
-    start, trans = aggregate_counts(pieces)
-    return CollapsedCorpus(pieces=pieces, start=start, trans=trans)
+    return CollapsedCorpus(
+        tuple(collapse_piece(p, alphabet) for p in corpus.pieces)
+    )

@@ -14,9 +14,11 @@ Three measures per feature:
   another feature carries the same information.
 
 Corpus-level uncertainty comes from a nonparametric bootstrap that
-resamples whole pieces with replacement and refits every sub-model per
-replicate; intervals are percentile intervals of the replicate
-distribution, and the point estimate is always the full-corpus value.
+resamples whole pieces with replacement. Each replicate is an ordinary
+CollapsedCorpus of the drawn pieces, repeats included, on which every
+sub-model is refitted, warm-started from the full-corpus fits. Intervals
+are percentile intervals of the replicate distribution, and the point
+estimate is always the full-corpus value.
 Composition-level reports fit one model per piece with a small ridge
 penalty to tame short-piece maximum-likelihood degeneracies.
 """
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import CollapsedCorpus, CollapsedPiece, aggregate_counts
+from .corpus import CollapsedCorpus, CollapsedPiece
 from .features import FeatureSpace
 from .model import FitResult, fit
 
@@ -38,9 +40,8 @@ def _as_collapsed_corpus(pieces) -> CollapsedCorpus:
     """Accept a CollapsedCorpus or any sequence of CollapsedPieces."""
     if isinstance(pieces, CollapsedCorpus):
         return pieces
-    pieces = tuple(pieces)
-    start, trans = aggregate_counts(pieces)
-    return CollapsedCorpus(pieces=pieces, start=start, trans=trans)
+    return CollapsedCorpus(tuple(pieces))
+
 
 MEASURES = ("weight", "explained_entropy", "unique_explained_entropy")
 
@@ -192,7 +193,6 @@ def feature_importance(
     *,
     ridge: float = CORPUS_RIDGE_DEFAULT,
     measures=MEASURES,
-    multiplicities: np.ndarray | None = None,
     warm_starts: dict[str, np.ndarray] | None = None,
     level: str = "corpus",
     piece_id: str | None = None,
@@ -222,7 +222,6 @@ def feature_importance(
             feature_mask=_mask_for(key, names),
             ridge=ridge,
             w0=warm_starts.get(key),
-            multiplicities=multiplicities,
         )
 
     weights = np.full(n, np.nan)
@@ -363,12 +362,14 @@ def bootstrap(
 
     def run_replicate(r: int) -> ImportanceReport:
         mult = _replicate_multiplicities(seed, r, n_pieces)
+        replicate = CollapsedCorpus(
+            tuple(p for p, m in zip(corpus.pieces, mult) for _ in range(m))
+        )
         return feature_importance(
-            corpus=corpus,
+            corpus=replicate,
             space=space,
             ridge=ridge,
             measures=measures,
-            multiplicities=mult,
             warm_starts=warm,
         )
 
@@ -437,12 +438,9 @@ def per_composition_importance(
         if piece.n_events < 2:
             skipped.append(piece.piece_id)
             continue
-        single = CollapsedCorpus(
-            pieces=(piece,), start=dict(piece.start), trans=dict(piece.trans)
-        )
         reports.append(
             feature_importance(
-                corpus=single,
+                corpus=CollapsedCorpus((piece,)),
                 space=space,
                 ridge=ridge,
                 measures=measures,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import CollapsedCorpus, aggregate_counts
+from .corpus import CollapsedCorpus
 from .features import FEATURE_NAMES, N_FEATURES, FeatureSpace
 from .pcset import PcSet, as_pcset
 
@@ -130,8 +130,9 @@ class _RowStatistics:
 
 
 def _statistics(
-    space: FeatureSpace, start: dict, trans: dict, mask: np.ndarray
+    space: FeatureSpace, corpus: CollapsedCorpus, mask: np.ndarray
 ) -> _RowStatistics:
+    start, trans = corpus.start, corpus.trans
     keys = sorted(trans)
     rows = np.array([row for row, _ in keys], dtype=np.int64)
     rels = np.array([rel for _, rel in keys], dtype=np.int64)
@@ -202,7 +203,7 @@ def _evaluate(
 
 def _corpus_terms(corpus: CollapsedCorpus, model: EnergyModel, ridge: float):
     mask = model.feature_mask
-    stats = _statistics(model.space, corpus.start, corpus.trans, mask)
+    stats = _statistics(model.space, corpus, mask)
     return _evaluate(stats, model.effective_weights, np.flatnonzero(mask), ridge)
 
 
@@ -256,30 +257,23 @@ def fit(
     feature_mask: np.ndarray | None = None,
     ridge: float = 0.0,
     w0: np.ndarray | None = None,
-    multiplicities: np.ndarray | None = None,
 ) -> FitResult:
     """Minimize corpus cost over the active weights by damped Newton.
 
-    Starts from w = 0 unless w0 is given. multiplicities reweights whole
-    pieces (the resampling hook); pieces with multiplicity 0 drop out.
-    Each step is the minimum-norm solution of the Newton system, so a
-    singular Hessian (say, two identical features) still gives a descent
-    direction, and is halved until the cost decreases enough. The fit
-    converges when no active gradient component exceeds GRADIENT_TOL; one
-    more Newton step then polishes the weights. The returned cross entropy
-    is the data term per event, in nats, excluding any ridge penalty.
+    Starts from w = 0 unless w0 is given. ridge must be finite and
+    non-negative, which keeps the penalized cost convex. Each step is the
+    minimum-norm solution of the Newton system, so a singular Hessian (say,
+    two identical features) still gives a descent direction, and is halved
+    until the cost decreases enough. The fit converges when no active
+    gradient component exceeds GRADIENT_TOL; one more Newton step then
+    polishes the weights. The returned cross entropy is the data term per
+    event, in nats, excluding any ridge penalty.
     """
     mask = (full_mask(space.n_features) if feature_mask is None
             else np.asarray(feature_mask, bool))
-    if multiplicities is None:
-        start, trans = corpus.start, corpus.trans
-        n_events = corpus.n_events
-    else:
-        start, trans = aggregate_counts(corpus.pieces, multiplicities)
-        n_events = int(
-            sum(m * p.n_events for m, p in zip(multiplicities, corpus.pieces))
-        )
-    if n_events == 0:
+    if not 0.0 <= ridge < math.inf:
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge!r}")
+    if corpus.n_events == 0:
         raise ValueError("cannot fit on an empty corpus")
 
     if not mask.any():
@@ -290,13 +284,13 @@ def fit(
             converged=True,
             iterations=0,
             gradient_norm=0.0,
-            n_events=n_events,
+            n_events=corpus.n_events,
             ridge=ridge,
             feature_mask=mask,
         )
 
     active = np.flatnonzero(mask)
-    stats = _statistics(space, start, trans, mask)
+    stats = _statistics(space, corpus, mask)
     weights = np.zeros(space.n_features)
     if w0 is not None:
         weights[active] = np.asarray(w0, dtype=float)[active]
@@ -339,11 +333,11 @@ def fit(
     gradient_norm = float(np.max(np.abs(grad)))
     return FitResult(
         weights=weights,
-        cross_entropy=data_cost / n_events,
+        cross_entropy=data_cost / corpus.n_events,
         converged=gradient_norm <= GRADIENT_TOL,
         iterations=iterations,
         gradient_norm=gradient_norm,
-        n_events=n_events,
+        n_events=corpus.n_events,
         ridge=ridge,
         feature_mask=mask,
     )

@@ -141,6 +141,39 @@ def test_bad_spectrum_params_are_usage_errors(runner, corpus_file):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("importance", "--seed", "-1"),
+    ("importance", "--threads", "-3"),
+    ("importance", "--threads", "0"),
+    ("importance", "--bootstrap", "-1"),
+    ("importance", "--level", "0"),
+    ("importance", "--level", "1"),
+    ("importance", "--level", "nan"),
+    ("importance", "--ridge", "-1"),
+    ("importance", "--ridge", "inf"),
+    ("importance", "--piece-ridge", "-1"),
+    ("importance", "--piece-ridge", "nan"),
+    ("fit", "--ridge", "-100"),
+    ("fit", "--ridge", "nan"),
+    ("sample", "--seed", "-2"),
+    ("sample", "--pieces", "0"),
+    ("sample", "--length", "0"),
+])
+def test_out_of_range_option_is_usage_error(runner, corpus_file, tmp_path,
+                                            command, option, value):
+    if command == "sample":
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps([0.0] * 4), encoding="utf-8")
+        args = ["sample", str(weights), "-o", str(tmp_path / "out.txt")]
+    else:
+        args = [command, str(corpus_file)]
+        if command == "importance":
+            args += ["--bootstrap", "2"]
+    result = runner.invoke(main, cached(*args, option, value))
+    assert result.exit_code == 2, result.output
+    assert "Invalid value" in result.output and option in result.output
+
+
 def test_importance_table_shape(runner, corpus_file, tmp_path):
     prefix = tmp_path / "imp"
     result = run(runner, *cached("importance", corpus_file, "-o", prefix))

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 from chordmodel.corpus import (
+    CollapsedCorpus,
     CorpusFormatError,
     Piece,
-    aggregate_counts,
     collapse,
     load_label_map,
     parse_corpus,
@@ -222,8 +223,8 @@ def test_collapse_conserves_counts(alphabet):
     assert sum(cc.start.values()) == 3  # one context-free event per piece
     assert sum(cc.trans.values()) == cc.n_events - 3
     # per-piece counts aggregate to the corpus-level dictionaries
-    start, trans = aggregate_counts(cc.pieces)
-    assert start == cc.start and trans == cc.trans
+    assert cc.start == sum((Counter(p.start) for p in cc.pieces), Counter())
+    assert cc.trans == sum((Counter(p.trans) for p in cc.pieces), Counter())
 
 
 def test_collapse_shares_transposed_transitions(alphabet):
@@ -241,14 +242,20 @@ def test_collapse_shares_transposed_transitions(alphabet):
     assert list(one.start) == list(two.start)
 
 
-def test_aggregate_counts_multiplicities(alphabet):
+def test_corpus_aggregate_counts_repeated_pieces(alphabet):
+    """A piece listed k times counts k times, as in a bootstrap replicate."""
     cc = collapse(
-        make_corpus([[(0, 4, 7), (0, 5, 9)], [(0,), (6,)]]), alphabet
+        make_corpus([[(0, 4, 7), (0, 5, 9)], [(0,), (6,)], [(2,), (2, 6)]]),
+        alphabet,
     )
-    start, trans = aggregate_counts(cc.pieces, multiplicities=[3, 0])
-    assert sum(start.values()) == 3
-    assert sum(trans.values()) == 3
-    assert all(k in cc.pieces[0].trans for k in trans)
+    pieces = (cc.pieces[0],) * 3 + (cc.pieces[2],)
+    resampled = CollapsedCorpus(pieces)
+    assert resampled.n_events == 3 * 2 + 2
+    assert resampled.start == sum((Counter(p.start) for p in pieces), Counter())
+    assert resampled.trans == sum((Counter(p.trans) for p in pieces), Counter())
+    assert sum(resampled.trans.values()) == 3 + 1
+    assert all(isinstance(v, int) for v in resampled.trans.values())
+    assert CollapsedCorpus(()).start == {} and CollapsedCorpus(()).trans == {}
 
 
 def test_collapse_ratio_on_a_diatonic_cycle(alphabet):

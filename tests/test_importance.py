@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from chordmodel.corpus import CorpusFile
 from chordmodel.importance import (
     MEASURES,
     BootstrapResult,
+    _replicate_multiplicities,
     bootstrap,
     feature_importance,
     orientation,
@@ -160,6 +162,30 @@ def test_bootstrap_is_deterministic_and_thread_independent(space, vl_corpus):
     assert any(
         not np.array_equal(a.replicates[m], d.replicates[m]) for m in MEASURES
     )
+
+
+def test_bootstrap_replicate_equals_explicitly_repeated_corpus(space, vl_corpus):
+    """Replicate r is the importance nest, warm-started from the point fits,
+    on the corpus that lists each piece as often as replicate r draws it."""
+    raw = sampled_corpus(
+        space, np.array([0.0, 0.0, 0.0, -2.0]), n_pieces=16, length=15, seed=3
+    )
+    seed = 11
+    res = bootstrap(vl_corpus, space, n_replicates=3, seed=seed)
+    warm = {key: fitted.weights for key, fitted in res.point.fits.items()}
+    for r in range(3):
+        mult = _replicate_multiplicities(seed, r, len(raw.pieces))
+        assert mult.sum() == 16 and (mult == 0).any() and (mult > 1).any()
+        order = np.repeat(np.arange(len(raw.pieces)), mult)
+        repeated = CorpusFile(tuple(raw.pieces[i] for i in order), raw.meta)
+        explicit = collapsed(space, repeated)
+        assert explicit.n_events == sum(
+            m * p.n_events for m, p in zip(mult, vl_corpus.pieces)
+        )
+        report = feature_importance(explicit, space, warm_starts=warm)
+        for measure in MEASURES:
+            assert np.array_equal(res.replicates[measure][r],
+                                  report.values(measure))
 
 
 def test_bootstrap_single_replicate_degenerate_interval(space, vl_corpus):

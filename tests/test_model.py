@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chordmodel.corpus import collapse
+from chordmodel.corpus import CollapsedCorpus, collapse
 from chordmodel.model import (
     GRADIENT_TOL,
     EnergyModel,
@@ -240,28 +240,16 @@ def test_nested_masks_never_increase_cross_entropy(space, small_corpus):
     assert ce[frozenset()] == math.log(4095)
 
 
-def test_multiplicities_equal_explicit_repetition(space):
-    pieces = [
-        [(0, 4, 7), (0, 5, 9), (2, 7, 11)],
-        [(0,), (0, 6)],
-        [(0, 3, 7), (5, 8, 0), (0, 3, 7), (7, 10, 2)],
-    ]
-    weighted = fit(
-        collapsed(space, make_corpus(pieces)),
-        space,
-        multiplicities=np.array([2, 0, 3]),
-    )
-    explicit = fit(
-        collapsed(space, make_corpus(pieces[0:1] * 2 + pieces[2:3] * 3)), space
-    )
-    assert weighted.n_events == explicit.n_events == 2 * 3 + 3 * 4
-    assert abs(weighted.cross_entropy - explicit.cross_entropy) < 1e-9
-    assert np.allclose(weighted.weights, explicit.weights, atol=1e-6)
-
-
-def test_fit_rejects_empty_reweighted_corpus(space, small_corpus):
+def test_fit_rejects_empty_corpus(space):
     with pytest.raises(ValueError, match="empty corpus"):
-        fit(small_corpus, space, multiplicities=np.zeros(3, dtype=int))
+        fit(CollapsedCorpus(()), space)
+
+
+@pytest.mark.parametrize("ridge", [-1e-3, -100.0, math.inf, math.nan])
+def test_fit_rejects_negative_or_nonfinite_ridge(space, small_corpus, ridge):
+    """A negative ridge makes the penalized cost non-convex."""
+    with pytest.raises(ValueError, match="ridge"):
+        fit(small_corpus, space, ridge=ridge)
 
 
 def test_warm_start_changes_path_not_optimum(space, small_corpus):
