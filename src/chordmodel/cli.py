@@ -100,9 +100,9 @@ class RunConfig:
 
 def _spectrum_options(f):
     f = click.option("--rho", type=float, default=0.75, show_default=True,
-                     help="Harmonic level roll-off exponent.")(f)
+                     callback=_finite, help="Harmonic level roll-off exponent.")(f)
     f = click.option("--sigma", type=float, default=0.0683, show_default=True,
-                     help="Gaussian smoothing SD in semitones.")(f)
+                     callback=_finite, help="Gaussian smoothing SD in semitones.")(f)
     f = click.option("--harmonics", type=int, default=12, show_default=True,
                      help="Number of harmonics per tone.")(f)
     f = click.option("--bins", type=int, default=1200, show_default=True,

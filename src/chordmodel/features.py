@@ -38,9 +38,10 @@ from .pcset import (
 from .spectrum import (
     SpectrumParams,
     Spectrum,
-    alphabet_spectra,
     pcset_spectrum,
     spectral_distance,
+    tone_autocorrelation,
+    tone_correlations,
     tone_similarity_profile,
 )
 from .voiceleading import voice_leading_distance, voice_leading_matrix
@@ -150,16 +151,23 @@ def build_harmonicity_table(
     """Raw harmonicity for all chords, z-scored within chord-size groups.
 
     Raw values are computed once per transposition class and broadcast over
-    each orbit, so transposition invariance holds exactly. Z-scores use the
-    population SD; zero-variance size groups (1, 11 and 12 notes, each a
-    single transposition orbit) map to 0.
+    each orbit, so transposition invariance holds exactly. They follow
+    harmonicity_raw, for all classes at once: each class's tone-similarity
+    profile comes from tone_correlations, not from an FFT of its spectrum.
+    Z-scores use the population SD; zero-variance size groups (1, 11 and 12
+    notes, each a single transposition orbit) map to 0.
     """
-    rep_raw = np.array(
-        [
-            harmonicity_raw(alphabet[int(rep_id)], params, literal_q)
-            for rep_id in alphabet.rep_ids
-        ]
-    )
+    reps = [alphabet[int(rep_id)] for rep_id in alphabet.rep_ids]
+    corr = tone_correlations(reps, params)
+    # |S_X|^2 sums the inner products of S_X with the spectra of its own tones
+    members = (alphabet.masks[alphabet.rep_ids, None] >> np.arange(N_PITCH_CLASSES)) & 1
+    norm = np.sqrt((corr[:, :: params.bins_per_pc] * members).sum(axis=1))
+    template_norm = math.sqrt(tone_autocorrelation(params)[0])
+    sim = np.clip(corr / (norm[:, None] * template_norm), 0.0, 1.0)
+    q = (1.0 - sim) if literal_q else sim
+    q /= q.sum(axis=1, keepdims=True) * params.bin_width
+    log_q = np.log2(N_PITCH_CLASSES * q, out=np.zeros_like(q), where=q > 0.0)
+    rep_raw = params.bin_width * (q * log_q).sum(axis=1)
     raw = rep_raw[alphabet.rep_row]
     normalized = np.zeros(len(alphabet))
     for size in range(1, N_PITCH_CLASSES + 1):
@@ -274,11 +282,21 @@ class FeatureSpace:
         self.alphabet = enumerate_alphabet()
         al = self.alphabet
 
-        spectra = alphabet_spectra(al.chords, params)
-        rep_spectra = spectra[al.rep_ids]
-        unit = spectra / np.linalg.norm(spectra, axis=1, keepdims=True)
-        rep_unit = rep_spectra / np.linalg.norm(rep_spectra, axis=1, keepdims=True)
-        self.spectral_matrix = np.clip(1.0 - rep_unit @ unit.T, 0.0, 1.0)
+        # inner[r, m] is the inner product of the class-r representative's
+        # spectrum with the spectrum of the chord whose mask is m; adding pitch
+        # class p to every mask below 2**p fills the masks below 2**(p + 1)
+        reps = [al[int(rep_id)] for rep_id in al.rep_ids]
+        tones = tone_correlations(reps, params)[:, :: params.bins_per_pc]
+        inner = np.zeros((al.n_classes, 2**N_PITCH_CLASSES))
+        for p in range(N_PITCH_CLASSES):
+            inner[:, 2**p : 2 ** (p + 1)] = inner[:, : 2**p] + tones[:, p, None]
+        inner = np.take(inner, al.masks, axis=1)  # C order, unlike inner[:, masks]
+        norm = np.sqrt(inner[np.arange(al.n_classes), al.rep_ids])
+        # 1 - cosine in place: each freed temporary of this size would stay
+        # in the heap and add about 11 MB to the resident set
+        inner /= norm[:, None] * norm[al.rep_row]
+        np.subtract(1.0, inner, out=inner)
+        self.spectral_matrix = np.clip(inner, 0.0, 1.0, out=inner)
         self.vl_matrix = self._cached_vl_matrix(cache_dir)
 
         self.table = build_harmonicity_table(al, params, literal_q)
@@ -306,18 +324,22 @@ class FeatureSpace:
             return voice_leading_matrix(al)
         path = Path(cache_dir) / f"voiceleading-{al.ordering_hash()}.npy"
         try:
-            matrix = np.load(path)
-            if matrix.shape == (al.n_classes, len(al)):
-                return matrix
+            stored = np.load(path)
+            if stored.shape == (al.n_classes, len(al)) and stored.dtype == np.uint8:
+                return stored.astype(float)
         except (OSError, ValueError, EOFError):
             pass  # missing, truncated or not an .npy file: rebuild it
         matrix = voice_leading_matrix(al)
+        # the distances are whole semitone counts, at most 36
+        stored = matrix.astype(np.uint8)
+        if not np.array_equal(stored, matrix):
+            raise ValueError("voice-leading distances are not integers in 0..255")
         path.parent.mkdir(parents=True, exist_ok=True)
         # a killed run or a concurrent reader never sees a partial file
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "wb") as fh:
-                np.save(fh, matrix)
+                np.save(fh, stored)
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
@@ -370,7 +392,8 @@ def get_feature_space(
     literal_q: bool = False,
     cache_dir: str | Path | None = None,
 ) -> FeatureSpace:
-    """Process-wide memoized FeatureSpace (construction costs ~30 s uncached)."""
+    """Process-wide memoized FeatureSpace (about 40 s to construct without a
+    cached voice-leading matrix, 0.1 s with one)."""
     key = (params, literal_q)
     if key not in _SPACES:
         _SPACES[key] = FeatureSpace(params, literal_q, cache_dir)

@@ -3,7 +3,7 @@
 A pitch class is a real number in [0, 12); chord tones are integer pitch
 classes. A pitch-class set is represented as a sorted tuple of distinct
 integers in {0..11}. Sorted tuples are hashable, order-canonical, and cheap,
-which makes them serviceable dictionary keys for the caching layers.
+which makes them serviceable dictionary keys.
 """
 
 from __future__ import annotations
@@ -117,9 +117,9 @@ class ChordAlphabet:
     """The 4,095 non-empty pitch-class sets, ordered by (size, lexicographic).
 
     The ordering is part of the on-disk cache contract. Alongside the
-    enumeration this carries the lookup structures the caching layers need:
-    id maps, transposition permutations, and the decomposition of every chord
-    into (transposition-class row, shift).
+    enumeration this carries id maps, the 12-bit masks, transposition
+    permutations, and the decomposition of every chord into
+    (transposition-class row, shift), all as normal_form defines them.
     """
 
     def __init__(self) -> None:
@@ -129,31 +129,32 @@ class ChordAlphabet:
         self.chords: tuple[PcSet, ...] = tuple(chords)
         self.index: dict[PcSet, int] = {c: i for i, c in enumerate(self.chords)}
         self.sizes = np.array([len(c) for c in self.chords], dtype=np.int64)
+        self.masks = np.array([pcset_to_mask(c) for c in self.chords], dtype=np.int64)
+        id_of_mask = np.full(2**N_PITCH_CLASSES, -1, dtype=np.int64)
+        id_of_mask[self.masks] = np.arange(len(self.chords))
 
+        # rotated[t, i] = mask of transpose(chord i, t): bit p moves to p + t
+        t = np.arange(N_PITCH_CLASSES)[:, None]
+        full = 2**N_PITCH_CLASSES - 1
+        rotated = ((self.masks << t) | (self.masks >> (N_PITCH_CLASSES - t))) & full
         # perm[t, i] = id of transpose(chord i, t)
-        self.perm = np.empty((N_PITCH_CLASSES, len(self.chords)), dtype=np.int64)
-        for t in range(N_PITCH_CLASSES):
-            for i, c in enumerate(self.chords):
-                self.perm[t, i] = self.index[transpose(c, t)]
+        self.perm = id_of_mask[rotated]
 
-        # Transposition classes: rep_row maps chord id -> row in the class
-        # table, shift_of maps chord id -> t with transpose(rep, t) == chord.
-        rep_ids: list[int] = []
-        rep_row_of_rep: dict[int, int] = {}
-        self.rep_row = np.empty(len(self.chords), dtype=np.int64)
-        self.shift_of = np.empty(len(self.chords), dtype=np.int64)
-        orbit_sizes: list[int] = []
-        for i, c in enumerate(self.chords):
-            tclass, shift = normal_form(c)
-            rep_id = self.index[tclass.representative]
-            if rep_id not in rep_row_of_rep:
-                rep_row_of_rep[rep_id] = len(rep_ids)
-                rep_ids.append(rep_id)
-                orbit_sizes.append(tclass.orbit_size)
-            self.rep_row[i] = rep_row_of_rep[rep_id]
-            self.shift_of[i] = shift
-        self.rep_ids = np.array(rep_ids, dtype=np.int64)
-        self.rep_orbit_sizes = np.array(orbit_sizes, dtype=np.int64)
+        # The representative is the transposition with the smallest mask. Its
+        # shifts back onto the chord are -t mod 12 for every minimising t, and
+        # these repeat with the orbit size, so the smallest is -t mod orbit.
+        orbit_size = N_PITCH_CLASSES // (rotated == self.masks).sum(axis=0)
+        rep_mask = rotated.min(axis=0)
+        self.shift_of = -rotated.argmin(axis=0) % orbit_size
+        # classes are numbered in order of their first chord in the enumeration
+        rep_id = id_of_mask[rep_mask]
+        _, first = np.unique(rep_id, return_index=True)
+        first.sort()
+        self.rep_ids = rep_id[first]
+        self.rep_orbit_sizes = orbit_size[first]
+        row_of = np.empty(len(self.chords), dtype=np.int64)
+        row_of[self.rep_ids] = np.arange(len(self.rep_ids))
+        self.rep_row = row_of[rep_id]
 
     def __len__(self) -> int:
         return len(self.chords)

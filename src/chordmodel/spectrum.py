@@ -3,7 +3,7 @@
 A spectrum is a length-1,200 numpy array of perceptual weight sampled at the
 left endpoints p = k/100 of a rectangle-rule grid over [0, 12). One hundred
 bins per semitone means transposing a chord by t semitones shifts its
-spectrum by exactly 100*t bins, which the caching layers exploit.
+spectrum by exactly 100*t bins.
 
 Chord tones are expanded into 12 harmonics; the j-th partial contributes a
 Gaussian of mass j**-rho centered at (x + 12*log2 j) mod 12 with standard
@@ -39,10 +39,10 @@ class SpectrumParams:
     n_bins: int = 1200
 
     def __post_init__(self) -> None:
-        if self.rho <= 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (0 < self.rho < math.inf):
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        if not (0 < self.sigma < math.inf):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.n_harmonics < 1:
             raise ValueError(f"need at least one harmonic, got {self.n_harmonics}")
         if self.n_bins < N_PITCH_CLASSES or self.n_bins % N_PITCH_CLASSES != 0:
@@ -141,20 +141,39 @@ def spectral_distance(a: Spectrum, b: Spectrum) -> float:
     return min(max(1.0 - cos, 0.0), 1.0)
 
 
-def alphabet_spectra(chords: tuple[PcSet, ...], params: SpectrumParams) -> np.ndarray:
-    """Spectra for a chord list as one (n_chords, n_bins) matrix.
+@lru_cache(maxsize=8)
+def tone_autocorrelation(params: SpectrumParams) -> Spectrum:
+    """Circular autocorrelation of the tone template, from one FFT.
 
-    Row i is pcset_spectrum(chords[i]); built from the 12 shifted copies of
-    the tone template so the whole table costs one small matrix product.
+    Entry k is sum_i base[i] * base[(i + k) mod n_bins], the inner product
+    of two tone spectra k bins apart; entry 0 is the template's squared norm.
     """
-    base = _base_tone_spectrum(params)
-    shifted = np.empty((N_PITCH_CLASSES, params.n_bins))
-    for t in range(N_PITCH_CLASSES):
-        shifted[t] = np.roll(base, t * params.bins_per_pc)
-    indicator = np.zeros((len(chords), N_PITCH_CLASSES))
+    base_hat = np.fft.rfft(_base_tone_spectrum(params))
+    out = np.fft.irfft(base_hat * np.conj(base_hat), n=params.n_bins)
+    out.setflags(write=False)
+    return out
+
+
+def tone_correlations(chords: list[PcSet], params: SpectrumParams) -> np.ndarray:
+    """Inner products of chord spectra with the tone template at every bin.
+
+    Entry [i, k] is pcset_spectrum(chords[i]) @ harmonic_tone_spectrum at
+    grid point k. A chord spectrum is a sum of templates shifted by whole
+    semitones, so row i is the template's autocorrelation shifted to each
+    chord tone and summed. Entry [i, bins_per_pc * p] is thus the inner
+    product with pitch class p, and summing it over the tones of a chord Y
+    gives pcset_spectrum(chords[i]) @ pcset_spectrum(Y). Tones are added in
+    ascending order without BLAS, so no BLAS thread count changes a digit.
+    """
+    auto = tone_autocorrelation(params)
+    member = np.zeros((len(chords), N_PITCH_CLASSES), dtype=bool)
     for i, chord in enumerate(chords):
-        indicator[i, list(chord)] = 1.0
-    return indicator @ shifted
+        member[i, list(chord)] = True
+    out = np.zeros((len(chords), params.n_bins))
+    for t in range(N_PITCH_CLASSES):
+        shifted = np.roll(auto, t * params.bins_per_pc)
+        np.add(out, shifted, out=out, where=member[:, t, None])
+    return out
 
 
 def tone_similarity_profile(

@@ -1,6 +1,6 @@
 """Shared fixtures: one FeatureSpace per session, backed by a disk cache.
 
-The feature tables cost ~30 s to build from scratch; the cache directory
+The feature tables cost about 40 s to build from scratch; the cache directory
 under tests/ keeps later runs fast and is safe to delete at any time.
 """
 

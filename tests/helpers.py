@@ -28,7 +28,7 @@ from chordmodel.model import (
     corpus_gradient,
     sample_sequence,
 )
-from chordmodel.pcset import pc_distance
+from chordmodel.pcset import normal_form, pc_distance, transpose
 from chordmodel.spectrum import (
     SpectrumParams,
     harmonic_tone_spectrum,
@@ -104,6 +104,31 @@ def diatonic_corpus(seed: int, n_pieces: int) -> CorpusFile:
 
 def collapsed(space, corpus: CorpusFile):
     return collapse(preprocess_corpus(corpus), space.alphabet)
+
+
+# ---------------------------------------------------------------------------
+# alphabet oracle
+
+
+def alphabet_reference(alphabet) -> dict[str, np.ndarray]:
+    """The alphabet's lookup arrays rebuilt one chord at a time from
+    transpose and normal_form, classes numbered by first appearance."""
+    n = len(alphabet)
+    perm = np.array([[alphabet.index[transpose(c, t)] for c in alphabet.chords]
+                     for t in range(12)])
+    rep_ids, orbit_sizes, row_of = [], [], {}
+    rep_row, shift_of = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    for i, c in enumerate(alphabet.chords):
+        tclass, shift = normal_form(c)
+        rep_id = alphabet.index[tclass.representative]
+        if rep_id not in row_of:
+            row_of[rep_id] = len(rep_ids)
+            rep_ids.append(rep_id)
+            orbit_sizes.append(tclass.orbit_size)
+        rep_row[i] = row_of[rep_id]
+        shift_of[i] = shift
+    return {"perm": perm, "rep_row": rep_row, "shift_of": shift_of,
+            "rep_ids": np.array(rep_ids), "rep_orbit_sizes": np.array(orbit_sizes)}
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +88,29 @@ def test_features_file_output_matches_stdout(runner, corpus_file, tmp_path):
     assert out.read_text(encoding="utf-8") == stdout.output
 
 
+def test_features_bytes_independent_of_blas_threads(tmp_path):
+    # random chords make every transition a fresh spectral-matrix entry
+    masks = np.random.default_rng(0).integers(1, 4096, size=(12, 30))
+    corpus = tmp_path / "random.txt"
+    corpus.write_text("".join(
+        " ".join(",".join(str(p) for p in range(12) if m >> p & 1) for m in piece)
+        + "\n" for piece in masks.tolist()
+    ), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"features-{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run(
+            [sys.executable, "-m", "chordmodel.cli", *cached(
+                "features", str(corpus), "-o", str(out))],
+            env=env, check=True, capture_output=True, timeout=600,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_empty_corpus_is_a_usage_error(runner, tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("\n", encoding="utf-8")
@@ -155,6 +182,9 @@ def test_bad_spectrum_params_are_usage_errors(runner, corpus_file):
     ("importance", "--piece-ridge", "nan"),
     ("fit", "--ridge", "-100"),
     ("fit", "--ridge", "nan"),
+    ("fit", "--rho", "nan"),
+    ("fit", "--sigma", "nan"),
+    ("fit", "--sigma", "inf"),
     ("sample", "--seed", "-2"),
     ("sample", "--pieces", "0"),
     ("sample", "--length", "0"),

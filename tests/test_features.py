@@ -14,6 +14,7 @@ from chordmodel import features
 from chordmodel.features import (
     FEATURE_NAMES,
     FeatureSpace,
+    build_harmonicity_table,
     harmonicity_raw,
     min_voice_leading,
     pair_population_moments,
@@ -102,6 +103,27 @@ def test_harmonicity_table_group_statistics(space):
         table.normalized[al.id_of((0, 4, 7))]
         > table.normalized[al.id_of((0, 1, 2))]
     )
+
+
+@pytest.mark.parametrize("params, literal_q", [
+    (SpectrumParams(), False),
+    (SpectrumParams(), True),
+    (SpectrumParams(n_bins=600, n_harmonics=11), False),
+])
+def test_harmonicity_table_matches_per_chord_reference(alphabet, params, literal_q):
+    raw = build_harmonicity_table(alphabet, params, literal_q).raw
+    expected = [harmonicity_raw(alphabet[int(i)], params, literal_q)
+                for i in alphabet.rep_ids]
+    assert np.allclose(raw[alphabet.rep_ids], expected, rtol=0.0, atol=1e-12)
+
+
+@given(st.integers(0, 350), st.integers(0, 4094))
+@settings(max_examples=200, deadline=None)
+def test_spectral_matrix_matches_spectral_distance(space, row, chord_id):
+    al = space.alphabet
+    expected = spectral_distance(pcset_spectrum(al[int(al.rep_ids[row])]),
+                                 pcset_spectrum(al[chord_id]))
+    assert abs(space.spectral_matrix[row, chord_id] - expected) < 1e-12
 
 
 def test_transition_stats_closed_form_mean(space):
@@ -207,17 +229,19 @@ def test_feature_space_tables(space):
         assert np.allclose(space.start_features[j], slow.as_array(), atol=1e-12)
 
 
-@pytest.mark.parametrize("damage", ["truncated", "empty", "not_npy", "wrong_shape"])
+@pytest.mark.parametrize(
+    "damage", ["truncated", "empty", "not_npy", "wrong_shape", "float64"]
+)
 def test_unreadable_voice_leading_cache_is_rebuilt(space, tmp_path, monkeypatch, damage):
     path = tmp_path / f"voiceleading-{space.alphabet.ordering_hash()}.npy"
-    np.save(path, space.vl_matrix[:-1] if damage == "wrong_shape" else space.vl_matrix)
+    stored = space.vl_matrix.astype(np.uint8)
+    np.save(path, {"wrong_shape": stored[:-1], "float64": space.vl_matrix}.get(damage, stored))
     data = path.read_bytes()
     path.write_bytes({
         "truncated": data[: len(data) // 2],
         "empty": b"",
         "not_npy": b"\x00garbage" * 100,
-        "wrong_shape": data,
-    }[damage])
+    }.get(damage, data))
     builds = []
 
     def build(alphabet):
@@ -228,6 +252,8 @@ def test_unreadable_voice_leading_cache_is_rebuilt(space, tmp_path, monkeypatch,
     rebuilt = FeatureSpace(cache_dir=tmp_path)
     assert len(builds) == 1
     assert np.array_equal(rebuilt.vl_matrix, space.vl_matrix)
+    assert rebuilt.vl_matrix.dtype == np.float64
+    assert np.load(path).dtype == np.uint8
     assert np.array_equal(np.load(path), space.vl_matrix)
     assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file left
 

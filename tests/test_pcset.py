@@ -23,6 +23,8 @@ from chordmodel.pcset import (
     transpose,
 )
 
+from helpers import alphabet_reference
+
 pcsets = st.sets(st.integers(0, 11), min_size=1).map(lambda s: tuple(sorted(s)))
 
 
@@ -153,3 +155,8 @@ def test_shift_and_rep_row_reconstruct_chord(alphabet):
         shift = int(alphabet.shift_of[cid])
         rep = alphabet[int(alphabet.rep_ids[row])]
         assert transpose(rep, shift) == alphabet[cid]
+
+
+def test_alphabet_tables_match_normal_form_reference(alphabet):
+    for name, expected in alphabet_reference(alphabet).items():
+        assert np.array_equal(getattr(alphabet, name), expected), name

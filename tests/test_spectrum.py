@@ -51,6 +51,9 @@ def test_params_validation():
         SpectrumParams(rho=0.0)
     with pytest.raises(ValueError):
         SpectrumParams(sigma=-1.0)
+    for bad in ({"rho": math.nan}, {"sigma": math.nan}, {"sigma": math.inf}):
+        with pytest.raises(ValueError):
+            SpectrumParams(**bad)
     with pytest.raises(ValueError):
         SpectrumParams(n_harmonics=0)
     with pytest.raises(ValueError):
