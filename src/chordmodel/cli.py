@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -229,29 +228,29 @@ def cmd_features(corpus_path, output, corpus_format, label_map,
     space = _build_space(rho, sigma, harmonics, bins, q_literal, cache_dir)
     al = space.alphabet
 
-    rows = []
-    for piece in corpus.pieces:
-        prev_id: int | None = None
-        prev_str = ""
-        for chord in piece.chords:
-            cur_id = al.id_of(chord)
-            raw = space.raw_transition_values(prev_id, cur_id)
-            std = space.stats.standardize(raw)
-            row = {"piece_id": piece.id, "prev": prev_str,
-                   "cur": format_pcset(chord)}
-            for j, name in enumerate(FEATURE_NAMES):
-                row[f"{name}_raw"] = float(raw[j])
-                row[f"{name}_std"] = float(std[j])
-            rows.append(row)
-            prev_id, prev_str = cur_id, format_pcset(chord)
+    def rows():
+        for piece in corpus.pieces:
+            prev_id: int | None = None
+            prev_str = ""
+            for chord in piece.chords:
+                cur_id = al.id_of(chord)
+                raw = space.raw_transition_values(prev_id, cur_id)
+                std = space.stats.standardize(raw)
+                row = {"piece_id": piece.id, "prev": prev_str,
+                       "cur": format_pcset(chord)}
+                for j, name in enumerate(FEATURE_NAMES):
+                    row[f"{name}_raw"] = float(raw[j])
+                    row[f"{name}_std"] = float(std[j])
+                yield row
+                prev_id, prev_str = cur_id, format_pcset(chord)
 
     if output is None:
-        buf = io.StringIO()
-        _write_csv(buf, FEATURE_CSV_COLUMNS, rows, config)
-        click.echo(buf.getvalue(), nl=False)
+        _write_csv(click.get_text_stream("stdout"), FEATURE_CSV_COLUMNS, rows(),
+                   config)
     else:
-        _write_csv_file(Path(output), FEATURE_CSV_COLUMNS, rows, config)
-        click.echo(f"wrote {len(rows)} event rows to {output}")
+        _write_csv_file(Path(output), FEATURE_CSV_COLUMNS, rows(), config)
+        n_events = sum(len(piece.chords) for piece in corpus.pieces)
+        click.echo(f"wrote {n_events} event rows to {output}")
 
 
 @main.command("fit")

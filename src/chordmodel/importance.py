@@ -31,16 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import CollapsedCorpus, CollapsedPiece
+from .corpus import CollapsedCorpus
 from .features import FeatureSpace
-from .model import FitResult, fit
-
-
-def _as_collapsed_corpus(pieces) -> CollapsedCorpus:
-    """Accept a CollapsedCorpus or any sequence of CollapsedPieces."""
-    if isinstance(pieces, CollapsedCorpus):
-        return pieces
-    return CollapsedCorpus(tuple(pieces))
+from .model import FitResult, _newton, _statistics
 
 
 MEASURES = ("weight", "explained_entropy", "unique_explained_entropy")
@@ -63,16 +56,21 @@ def orientation(feature_names) -> np.ndarray:
     )
 
 
-def _single_mask(n: int, j: int) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[j] = True
-    return mask
-
-
-def _loo_mask(n: int, j: int) -> np.ndarray:
-    mask = np.ones(n, dtype=bool)
-    mask[j] = False
-    return mask
+def _sub_fit_masks(feature_names, measures) -> dict[str, np.ndarray]:
+    """Feature mask of every sub-fit the measures need, keyed in run order."""
+    n = len(feature_names)
+    eye = np.eye(n, dtype=bool)
+    masks: dict[str, np.ndarray] = {}
+    if "weight" in measures or "unique_explained_entropy" in measures:
+        masks["full"] = np.ones(n, dtype=bool)
+    if "explained_entropy" in measures:
+        masks["null"] = np.zeros(n, dtype=bool)
+        for j, name in enumerate(feature_names):
+            masks[f"single:{name}"] = eye[j]
+    if "unique_explained_entropy" in measures:
+        for j, name in enumerate(feature_names):
+            masks[f"loo:{name}"] = ~eye[j]
+    return masks
 
 
 def required_fits(feature_names, measures=MEASURES) -> list[str]:
@@ -80,30 +78,7 @@ def required_fits(feature_names, measures=MEASURES) -> list[str]:
 
     Keys: "full", "null", "single:<feature>", "loo:<feature>".
     """
-    wanted: list[str] = []
-    if "weight" in measures or "unique_explained_entropy" in measures:
-        wanted.append("full")
-    if "explained_entropy" in measures:
-        wanted.append("null")
-        wanted.extend(f"single:{name}" for name in feature_names)
-    if "unique_explained_entropy" in measures:
-        wanted.extend(f"loo:{name}" for name in feature_names)
-    return wanted
-
-
-def _mask_for(key: str, feature_names) -> np.ndarray:
-    n = len(feature_names)
-    if key == "full":
-        return np.ones(n, dtype=bool)
-    if key == "null":
-        return np.zeros(n, dtype=bool)
-    kind, _, name = key.partition(":")
-    j = feature_names.index(name)
-    if kind == "single":
-        return _single_mask(n, j)
-    if kind == "loo":
-        return _loo_mask(n, j)
-    raise ValueError(f"unknown sub-fit key: {key!r}")
+    return list(_sub_fit_masks(feature_names, measures))
 
 
 @dataclass
@@ -206,7 +181,9 @@ def feature_importance(
 
     measures restricts which sub-fits run; warm_starts (key -> weight
     vector) seeds the optimizer, e.g. with full-corpus estimates when
-    refitting bootstrap replicates.
+    refitting bootstrap replicates. The corpus statistics are built once
+    and shared by every sub-fit, so each sub-fit equals a standalone fit()
+    with its mask.
     """
     if corpus.n_events == 0:
         raise ValueError("importance needs a corpus with at least one event")
@@ -214,15 +191,11 @@ def feature_importance(
     n = space.n_features
     warm_starts = warm_starts or {}
 
-    fits: dict[str, FitResult] = {}
-    for key in required_fits(names, measures):
-        fits[key] = fit(
-            corpus,
-            space,
-            feature_mask=_mask_for(key, names),
-            ridge=ridge,
-            w0=warm_starts.get(key),
-        )
+    stats = _statistics(space, corpus)
+    fits: dict[str, FitResult] = {
+        key: _newton(stats, mask, ridge, warm_starts.get(key))
+        for key, mask in _sub_fit_masks(names, measures).items()
+    }
 
     weights = np.full(n, np.nan)
     explained = np.full(n, np.nan)
@@ -326,7 +299,7 @@ def _replicate_multiplicities(seed: int, index: int, n_pieces: int) -> np.ndarra
 
 
 def bootstrap(
-    pieces: CollapsedCorpus | list[CollapsedPiece],
+    pieces: CollapsedCorpus,
     space: FeatureSpace,
     *,
     n_replicates: int = DEFAULT_REPLICATES,
@@ -338,12 +311,11 @@ def bootstrap(
 ) -> BootstrapResult:
     """Piece-level nonparametric bootstrap of the importance measures.
 
-    Resamples whole pieces with replacement n_replicates times, reruns
-    feature_importance per replicate (warm-started from the full-corpus
-    fits), and returns percentile intervals at the given level.
+    Resamples the pieces of a collapsed corpus with replacement n_replicates
+    times, reruns feature_importance per replicate (warm-started from the
+    full-corpus fits), and returns percentile intervals at the given level.
     """
-    corpus = _as_collapsed_corpus(pieces)
-    if len(corpus.pieces) < 2:
+    if len(pieces.pieces) < 2:
         raise ValueError("bootstrap needs at least 2 pieces to resample")
     if n_replicates < 1:
         raise ValueError("n_replicates must be >= 1")
@@ -354,16 +326,16 @@ def bootstrap(
         if m not in MEASURES:
             raise ValueError(f"unknown measure: {m!r}")
 
-    n_pieces = len(corpus.pieces)
+    n_pieces = len(pieces.pieces)
     point = feature_importance(
-        corpus=corpus, space=space, ridge=ridge, measures=measures
+        corpus=pieces, space=space, ridge=ridge, measures=measures
     )
     warm = {key: res.weights for key, res in point.fits.items()}
 
     def run_replicate(r: int) -> ImportanceReport:
         mult = _replicate_multiplicities(seed, r, n_pieces)
         replicate = CollapsedCorpus(
-            tuple(p for p, m in zip(corpus.pieces, mult) for _ in range(m))
+            tuple(p for p, m in zip(pieces.pieces, mult) for _ in range(m))
         )
         return feature_importance(
             corpus=replicate,
@@ -419,22 +391,21 @@ class PerCompositionResult:
 
 
 def per_composition_importance(
-    pieces: CollapsedCorpus | list[CollapsedPiece],
+    pieces: CollapsedCorpus,
     space: FeatureSpace,
     *,
     ridge: float = COMPOSITION_RIDGE_DEFAULT,
     measures=MEASURES,
 ) -> PerCompositionResult:
-    """Fit the importance family separately on every piece.
+    """Fit the importance family separately on every piece of a corpus.
 
     Pieces with fewer than 2 events (after merging immediate repeats)
     cannot inform the sequential features and are skipped; their ids are
     returned so callers can report them.
     """
-    corpus = _as_collapsed_corpus(pieces)
     reports: list[ImportanceReport] = []
     skipped: list[str] = []
-    for piece in corpus.pieces:
+    for piece in pieces.pieces:
         if piece.n_events < 2:
             skipped.append(piece.piece_id)
             continue

@@ -10,10 +10,14 @@ The model is log-linear, so the corpus enters the cost (total negative
 log-likelihood, nats) only through sufficient statistics: the number of
 events n_r in each context row (the start context and one row per collapsed
 transposition class, at most 352 rows however large the corpus is) and the
-observed feature sums Phi. Cost, gradient (expected minus observed feature
+observed feature sums Phi, together with the per-row feature tables they
+are taken against. These statistics are built once per corpus; every
+sub-model of an importance nest is fitted from the same statistics object
+with its own feature mask. Cost, gradient (expected minus observed feature
 sums) and Hessian (count-weighted feature covariances) come from one
-vectorised pass over those rows, in a fixed order, so repeated runs are
-bit-identical.
+vectorised pass over those rows. Every sum over rows, groups or chords is a
+numpy reduction in a fixed order rather than a BLAS product, so results are
+bit-identical across reruns and across BLAS thread counts.
 
 The cost is convex in the weights. Fitting finds its minimum (optionally
 ridge-penalized) by damped Newton from w = 0, the textbook fit of a
@@ -112,15 +116,14 @@ def conditional_distribution(ctx: PcSet | None, model: EnergyModel) -> np.ndarra
 
 @dataclass(frozen=True)
 class _RowStatistics:
-    """Sufficient statistics of a count table, one row per context.
+    """Sufficient statistics of a corpus, one row per context.
 
     Row 0 is the start context when any piece has a first event; the other
     rows are the context classes in sorted order. counts[r] is the number of
     events in row r and observed the feature sums over all events (Phi).
-    tables[k] holds active feature k's standardized values per row, shape
+    tables[k] holds feature k's standardized values per row, shape
     (n_rows, n_chords); a context-free feature has the same values in every
-    row and keeps one (1, n_chords) row. Tables of inactive features are
-    None.
+    row and keeps one (1, n_chords) row, which broadcasts against the rest.
     """
 
     counts: np.ndarray
@@ -129,9 +132,7 @@ class _RowStatistics:
     n_chords: int
 
 
-def _statistics(
-    space: FeatureSpace, corpus: CollapsedCorpus, mask: np.ndarray
-) -> _RowStatistics:
+def _statistics(space: FeatureSpace, corpus: CollapsedCorpus) -> _RowStatistics:
     start, trans = corpus.start, corpus.trans
     keys = sorted(trans)
     rows = np.array([row for row, _ in keys], dtype=np.int64)
@@ -144,14 +145,13 @@ def _statistics(
     if start:
         row_counts = np.concatenate([[start_counts.sum()], row_counts])
 
-    observed = start_counts @ space.start_features[start_ids]
+    observed = np.einsum("i,ik->k", start_counts, space.start_features[start_ids])
     tables = []
     for k, table in enumerate(space.standardized):
         context_free = table.ndim == 1
-        observed[k] += counts @ (table[rels] if context_free else table[rows, rels])
-        if not mask[k]:
-            tables.append(None)
-        elif context_free:
+        observed[k] += np.einsum(
+            "i,i->", counts, table[rels] if context_free else table[rows, rels])
+        if context_free:
             tables.append(table[None])
         elif start:
             tables.append(np.concatenate([space.start_features[None, :, k],
@@ -161,20 +161,15 @@ def _statistics(
     return _RowStatistics(row_counts, observed, tuple(tables), len(space.alphabet))
 
 
-def _expect(probs: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Per-row expectation of a feature table under per-row distributions."""
-    if len(table) == 1:
-        return probs @ table[0]
-    return np.einsum("ij,ij->i", probs, table)
-
-
 def _evaluate(
     stats: _RowStatistics, w: np.ndarray, active: np.ndarray, ridge: float
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Data cost, penalized cost, gradient and Hessian at weights w.
 
     Gradient and Hessian cover the active features only. When every active
-    feature is context-free, all rows share one softmax.
+    feature is context-free, all rows share one softmax. Sums over rows and
+    chords are numpy reductions, not BLAS products, so their order and the
+    result do not depend on the BLAS thread count.
     """
     tables = [stats.tables[k] for k in active]
     scores = sum((w[k] * t for k, t in zip(active, tables)),
@@ -185,17 +180,17 @@ def _evaluate(
     probs = expd / z[:, None]
     counts = stats.counts if len(probs) > 1 else stats.counts.sum(keepdims=True)
     w_active = w[active]
-    data_cost = float(counts @ (top[:, 0] + np.log(z))) - float(
-        w_active @ stats.observed[active]
+    data_cost = float(np.sum(counts * (top[:, 0] + np.log(z)))) - float(
+        np.sum(w_active * stats.observed[active])
     )
-    means = [_expect(probs, t) for t in tables]
-    grad = np.array([counts @ m for m in means]) - stats.observed[active]
+    means = [np.einsum("ij,ij->i", probs, t) for t in tables]
+    grad = np.array([np.sum(counts * m) for m in means]) - stats.observed[active]
     hess = np.empty((len(active), len(active)))
     for a, ta in enumerate(tables):
         for b in range(a, len(active)):
-            second = counts @ _expect(probs, ta * tables[b])
-            hess[a, b] = hess[b, a] = second - (counts * means[a]) @ means[b]
-    cost = data_cost + 0.5 * ridge * float(w_active @ w_active)
+            second = np.sum(counts * np.einsum("ij,ij->i", probs, ta * tables[b]))
+            hess[a, b] = hess[b, a] = second - np.sum(counts * means[a] * means[b])
+    cost = data_cost + 0.5 * ridge * float(np.sum(w_active * w_active))
     grad = grad + ridge * w_active
     hess[np.diag_indices_from(hess)] += ridge
     return data_cost, cost, grad, hess
@@ -203,7 +198,7 @@ def _evaluate(
 
 def _corpus_terms(corpus: CollapsedCorpus, model: EnergyModel, ridge: float):
     mask = model.feature_mask
-    stats = _statistics(model.space, corpus, mask)
+    stats = _statistics(model.space, corpus)
     return _evaluate(stats, model.effective_weights, np.flatnonzero(mask), ridge)
 
 
@@ -271,27 +266,38 @@ def fit(
     """
     mask = (full_mask(space.n_features) if feature_mask is None
             else np.asarray(feature_mask, bool))
+    return _newton(_statistics(space, corpus), mask, ridge, w0)
+
+
+def _newton(
+    stats: _RowStatistics,
+    mask: np.ndarray,
+    ridge: float,
+    w0: np.ndarray | None = None,
+) -> FitResult:
+    """fit() on statistics already built, so sub-fits of a nest share them."""
     if not 0.0 <= ridge < math.inf:
         raise ValueError(f"ridge must be finite and >= 0, got {ridge!r}")
-    if corpus.n_events == 0:
+    n_events = int(stats.counts.sum())  # exact: the counts are integers
+    if n_events == 0:
         raise ValueError("cannot fit on an empty corpus")
+    n_features = len(stats.tables)
 
     if not mask.any():
         # no active features: every conditional is uniform over the alphabet
         return FitResult(
-            weights=np.zeros(space.n_features),
-            cross_entropy=math.log(len(space.alphabet)),
+            weights=np.zeros(n_features),
+            cross_entropy=math.log(stats.n_chords),
             converged=True,
             iterations=0,
             gradient_norm=0.0,
-            n_events=corpus.n_events,
+            n_events=n_events,
             ridge=ridge,
             feature_mask=mask,
         )
 
     active = np.flatnonzero(mask)
-    stats = _statistics(space, corpus, mask)
-    weights = np.zeros(space.n_features)
+    weights = np.zeros(n_features)
     if w0 is not None:
         weights[active] = np.asarray(w0, dtype=float)[active]
     data_cost, cost, grad, hess = _evaluate(stats, weights, active, ridge)
@@ -333,11 +339,11 @@ def fit(
     gradient_norm = float(np.max(np.abs(grad)))
     return FitResult(
         weights=weights,
-        cross_entropy=data_cost / corpus.n_events,
+        cross_entropy=data_cost / n_events,
         converged=gradient_norm <= GRADIENT_TOL,
         iterations=iterations,
         gradient_norm=gradient_norm,
-        n_events=corpus.n_events,
+        n_events=n_events,
         ridge=ridge,
         feature_mask=mask,
     )

@@ -69,18 +69,24 @@ def bin_grid(params: SpectrumParams) -> np.ndarray:
     return np.arange(params.n_bins) * params.bin_width
 
 
-@lru_cache(maxsize=8)
-def _base_tone_spectrum(params: SpectrumParams) -> Spectrum:
-    """Spectrum of a harmonic complex tone with fundamental pitch class 0."""
+def _tone_gaussians(x: float, params: SpectrumParams) -> Spectrum:
+    """Sum of the partials' wrapped Gaussians for fundamental pitch class x."""
     grid = bin_grid(params)
     out = np.zeros(params.n_bins)
     norm = 1.0 / (params.sigma * math.sqrt(2.0 * math.pi))
     for j in range(1, params.n_harmonics + 1):
         level = j ** -params.rho
-        mean = partial_pitch_class(0.0, j)
+        mean = partial_pitch_class(x, j)
         diff = np.abs(grid - mean)
         d = np.minimum(diff, N_PITCH_CLASSES - diff)
         out += level * norm * np.exp(-0.5 * (d / params.sigma) ** 2)
+    return out
+
+
+@lru_cache(maxsize=8)
+def _base_tone_spectrum(params: SpectrumParams) -> Spectrum:
+    """Spectrum of a harmonic complex tone with fundamental pitch class 0."""
+    out = _tone_gaussians(0.0, params)
     out.setflags(write=False)
     return out
 
@@ -100,17 +106,7 @@ def harmonic_tone_spectrum(
     shift_int = round(shift)
     if math.isclose(shift, shift_int, abs_tol=1e-9):
         return np.roll(base, shift_int % params.n_bins)
-
-    grid = bin_grid(params)
-    out = np.zeros(params.n_bins)
-    norm = 1.0 / (params.sigma * math.sqrt(2.0 * math.pi))
-    for j in range(1, params.n_harmonics + 1):
-        level = j ** -params.rho
-        mean = partial_pitch_class(x, j)
-        diff = np.abs(grid - mean)
-        d = np.minimum(diff, N_PITCH_CLASSES - diff)
-        out += level * norm * np.exp(-0.5 * (d / params.sigma) ** 2)
-    return out
+    return _tone_gaussians(x, params)
 
 
 def pcset_spectrum(x: PcSet, params: SpectrumParams = SpectrumParams()) -> Spectrum:

@@ -89,6 +89,8 @@ def test_features_file_output_matches_stdout(runner, corpus_file, tmp_path):
 
 
 def test_features_bytes_independent_of_blas_threads(tmp_path):
+    """features, fit, importance (bootstrap and per-piece) and sample write
+    the same bytes under one and two BLAS threads."""
     # random chords make every transition a fresh spectral-matrix entry
     masks = np.random.default_rng(0).integers(1, 4096, size=(12, 30))
     corpus = tmp_path / "random.txt"
@@ -96,19 +98,33 @@ def test_features_bytes_independent_of_blas_threads(tmp_path):
         " ".join(",".join(str(p) for p in range(12) if m >> p & 1) for m in piece)
         + "\n" for piece in masks.tolist()
     ), encoding="utf-8")
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps(dict(zip(FEATURE_NAMES, [0.5, 1.0, -1.0, -0.5]))),
+                       encoding="utf-8")
+    commands = {
+        "features.csv": ("features", corpus),
+        "fit.json": ("fit", corpus),
+        "imp": ("importance", corpus, "--bootstrap", 3, "--per-piece"),
+        "sample.txt": ("sample", weights, "-n", 3, "--length", 40),
+    }
     src = str(Path(__file__).resolve().parents[1] / "src")
-    outputs = []
+    outputs = {}
     for threads in ("1", "2"):
-        out = tmp_path / f"features-{threads}.csv"
+        out_dir = tmp_path / f"blas-{threads}"
+        out_dir.mkdir()
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        subprocess.run(
-            [sys.executable, "-m", "chordmodel.cli", *cached(
-                "features", str(corpus), "-o", str(out))],
-            env=env, check=True, capture_output=True, timeout=600,
-        )
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+        for out, args in commands.items():
+            subprocess.run(
+                [sys.executable, "-m", "chordmodel.cli", *cached(
+                    *map(str, args), "-o", str(out_dir / out))],
+                env=env, check=True, capture_output=True, timeout=600,
+            )
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    # importance writes imp.json, imp.csv and imp.pieces.csv
+    assert len(outputs["1"]) == 6
+    for name, data in outputs["1"].items():
+        assert data == outputs["2"][name], name
 
 
 def test_empty_corpus_is_a_usage_error(runner, tmp_path):

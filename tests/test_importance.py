@@ -86,6 +86,22 @@ def test_importance_identities_and_invariants(space, vl_corpus, vl_report):
     )
 
 
+@pytest.mark.parametrize("ridge", [0.0, 0.5])
+def test_nest_subfits_equal_standalone_fits(space, vl_corpus, ridge):
+    """Sharing one statistics object across the nest changes no bit."""
+    report = feature_importance(vl_corpus, space, ridge=ridge)
+    assert list(report.fits) == required_fits(NAMES)
+    for key, sub in report.fits.items():
+        alone = fit(vl_corpus, space, sub.feature_mask, ridge)
+        assert np.array_equal(sub.weights, alone.weights), key
+        assert sub.cross_entropy == alone.cross_entropy, key
+        assert sub.iterations == alone.iterations, key
+        kind, _, name = key.partition(":")
+        on = [n for n, m in zip(NAMES, sub.feature_mask) if m]
+        assert on == {"full": list(NAMES), "null": [], "single": [name],
+                      "loo": [n for n in NAMES if n != name]}[kind]
+
+
 def test_dominant_feature_is_identified(space, vl_report):
     report = vl_report
     j = NAMES.index("voice_leading_distance")

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordmodel.corpus import CollapsedCorpus, collapse
+from chordmodel.importance import feature_importance
 from chordmodel.model import (
     GRADIENT_TOL,
     EnergyModel,
@@ -250,6 +251,8 @@ def test_fit_rejects_negative_or_nonfinite_ridge(space, small_corpus, ridge):
     """A negative ridge makes the penalized cost non-convex."""
     with pytest.raises(ValueError, match="ridge"):
         fit(small_corpus, space, ridge=ridge)
+    with pytest.raises(ValueError, match="ridge"):
+        feature_importance(small_corpus, space, ridge=ridge)
 
 
 def test_warm_start_changes_path_not_optimum(space, small_corpus):

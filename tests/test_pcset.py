@@ -160,3 +160,9 @@ def test_shift_and_rep_row_reconstruct_chord(alphabet):
 def test_alphabet_tables_match_normal_form_reference(alphabet):
     for name, expected in alphabet_reference(alphabet).items():
         assert np.array_equal(getattr(alphabet, name), expected), name
+
+
+def test_ordering_hash_is_pinned(alphabet):
+    """The hash names every voice-leading cache file; a new value would make
+    every existing cache miss and be rebuilt."""
+    assert alphabet.ordering_hash() == "c3272b0feb8e701a"
