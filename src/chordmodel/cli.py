@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -34,10 +35,12 @@ from .corpus import (
     CorpusFormatError,
     CorpusMeta,
     Piece,
+    chord_ids,
     collapse,
     load_label_map,
     parse_corpus,
     preprocess_corpus,
+    transition_classes,
     write_corpus,
 )
 from .features import FEATURE_NAMES, FeatureSpace, get_feature_space
@@ -184,12 +187,18 @@ def _csv_value(v) -> str:
     return str(v)
 
 
-def _write_csv(fh, columns, rows, config: RunConfig) -> None:
-    """Write the two config header lines and the rows to a text stream."""
+def _csv_header(fh, columns, config: RunConfig):
+    """Write the two config header lines and the column row; return the writer."""
     fh.write(f"# config_hash: {config.hash()}\n")
     fh.write(f"# config: {json.dumps(config.to_dict(), sort_keys=True)}\n")
     writer = csv.writer(fh)
     writer.writerow(columns)
+    return writer
+
+
+def _write_csv(fh, columns, rows, config: RunConfig) -> None:
+    """Write the two config header lines and the rows to a text stream."""
+    writer = _csv_header(fh, columns, config)
     for row in rows:
         writer.writerow([_csv_value(row.get(c)) for c in columns])
 
@@ -197,6 +206,69 @@ def _write_csv(fh, columns, rows, config: RunConfig) -> None:
 def _write_csv_file(path: Path, columns, rows, config: RunConfig) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         _write_csv(fh, columns, rows, config)
+
+
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it as one field of a longer row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-3]  # drop the empty field's comma and the "\r\n"
+
+
+def _write_features(fh, space: FeatureSpace, corpus: CorpusFile,
+                    config: RunConfig) -> None:
+    """Write the features CSV, one piece at a time.
+
+    The rows are those of FeatureSpace.raw_transition_values and
+    TransitionFeatureStats.standardize, read from the space's tables a
+    piece at a time. Text that depends on the continuation alone is
+    formatted once per chord, and voice-leading text once per distance.
+    """
+    _csv_header(fh, FEATURE_CSV_COLUMNS, config)
+    al = space.alphabet
+    size_z, harmonicity_z, spectral_z, vl_z = space.standardized
+    # chord id -> (quoted name, "name,size,harmonicity" raw, "size,harmonicity"
+    # standardized)
+    chord_text: dict[int, tuple[str, str, str]] = {}
+    vl_text: dict[float, tuple[str, str]] = {}  # raw distance -> (raw, std)
+    mean = space.stats.mean
+    # start events impute the population mean, which standardizes to 0
+    start_raw = f"{float(mean[2])!r},{float(mean[3])!r}"
+
+    def chord(j: int) -> tuple[str, str, str]:
+        if j not in chord_text:
+            name = _csv_field(format_pcset(al[j]))
+            size, harmonicity = float(al.sizes[j]), float(space.table.normalized[j])
+            chord_text[j] = (
+                name,
+                f"{name},{size!r},{harmonicity!r}",
+                f"{float(size_z[j])!r},{float(harmonicity_z[j])!r}",
+            )
+        return chord_text[j]
+
+    for piece in corpus.pieces:
+        ids = chord_ids(piece, al)
+        piece_id = _csv_field(piece.id)
+        name, head, tail = chord(int(ids[0]))
+        lines = [f"{piece_id},,{head},{start_raw},{tail},0.0,0.0\r\n"]
+        rows, rels = transition_classes(ids, al)
+        for cur, spectral, spectral_std, vl, vl_std in zip(
+            ids[1:].tolist(),
+            space.spectral_matrix[rows, rels].tolist(),
+            spectral_z[rows, rels].tolist(),
+            space.vl_matrix[rows, rels].tolist(),
+            vl_z[rows, rels].tolist(),
+        ):
+            if vl not in vl_text:
+                vl_text[vl] = (repr(vl), repr(vl_std))
+            vl_raw, vl_std_text = vl_text[vl]
+            prev_name = name
+            name, head, tail = chord(cur)
+            lines.append(
+                f"{piece_id},{prev_name},{head},{spectral!r},{vl_raw},"
+                f"{tail},{spectral_std!r},{vl_std_text}\r\n"
+            )
+        fh.write("".join(lines))
 
 
 def _finite(ctx, param, value: float) -> float:
@@ -226,29 +298,11 @@ def cmd_features(corpus_path, output, corpus_format, label_map,
                        q_literal=q_literal, corpus_format=fmt)
     corpus = _read_corpus(corpus_path, fmt, label_map)
     space = _build_space(rho, sigma, harmonics, bins, q_literal, cache_dir)
-    al = space.alphabet
-
-    def rows():
-        for piece in corpus.pieces:
-            prev_id: int | None = None
-            prev_str = ""
-            for chord in piece.chords:
-                cur_id = al.id_of(chord)
-                raw = space.raw_transition_values(prev_id, cur_id)
-                std = space.stats.standardize(raw)
-                row = {"piece_id": piece.id, "prev": prev_str,
-                       "cur": format_pcset(chord)}
-                for j, name in enumerate(FEATURE_NAMES):
-                    row[f"{name}_raw"] = float(raw[j])
-                    row[f"{name}_std"] = float(std[j])
-                yield row
-                prev_id, prev_str = cur_id, format_pcset(chord)
-
     if output is None:
-        _write_csv(click.get_text_stream("stdout"), FEATURE_CSV_COLUMNS, rows(),
-                   config)
+        _write_features(click.get_text_stream("stdout"), space, corpus, config)
     else:
-        _write_csv_file(Path(output), FEATURE_CSV_COLUMNS, rows(), config)
+        with open(output, "w", newline="", encoding="utf-8") as fh:
+            _write_features(fh, space, corpus, config)
         n_events = sum(len(piece.chords) for piece in corpus.pieces)
         click.echo(f"wrote {n_events} event rows to {output}")
 

@@ -29,8 +29,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .pcset import N_PITCH_CLASSES, ChordAlphabet, PcSet, enumerate_alphabet
 
@@ -104,7 +107,10 @@ def load_label_map(path: str | Path) -> dict[str, PcSet]:
 
 
 def _parse_plain_line(
-    line: str, where: str, label_map: dict[str, PcSet] | None = None
+    line: str,
+    where: str,
+    label_map: dict[str, PcSet] | None,
+    valid: dict[str, PcSet],
 ) -> tuple[Event, ...]:
     events = []
     for token in line.split():
@@ -112,19 +118,21 @@ def _parse_plain_line(
             if token not in label_map:
                 raise CorpusFormatError(f"{where}: unknown chord label {token!r}")
             chord = label_map[token]
+        elif token in valid:
+            chord = valid[token]
         else:
             try:
                 values = [int(part) for part in token.split(",")]
             except ValueError:
                 raise CorpusFormatError(f"{where}: malformed chord token {token!r}")
-            chord = _validated_chord(values, f"{where}: token {token!r}")
+            chord = valid[token] = _validated_chord(values, f"{where}: token {token!r}")
         events.append((chord, None))
     if not events:
         raise CorpusFormatError(f"{where}: piece has no chords")
     return tuple(events)
 
 
-def _parse_jsonl_line(line: str, where: str) -> Piece:
+def _parse_jsonl_line(line: str, where: str, valid: dict[str, PcSet]) -> Piece:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -141,7 +149,11 @@ def _parse_jsonl_line(line: str, where: str) -> Piece:
     for k, c in enumerate(chords_raw):
         if not isinstance(c, list):
             raise CorpusFormatError(f"{where}: chord {k} is not a list")
-        chords.append(_validated_chord(c, f"{where}: chord {k}"))
+        # [1], [true] and [1.0] are equal lists but differ as text
+        key = str(c)
+        if key not in valid:
+            valid[key] = _validated_chord(c, f"{where}: chord {k}")
+        chords.append(valid[key])
     bass_raw = obj.get("bass")
     if bass_raw is None:
         bass = [None] * len(chords)
@@ -176,6 +188,9 @@ def parse_corpus(
         raise ValueError("label maps apply to the plain format only")
     pieces: list[Piece] = []
     seen_ids: set[str] = set()
+    # chord text -> validated chord; a chord is checked once per call and its
+    # repeats share one tuple
+    valid: dict[str, PcSet] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -187,10 +202,10 @@ def parse_corpus(
                     continue
                 piece = Piece(
                     id=f"piece-{len(pieces) + 1:04d}",
-                    events=_parse_plain_line(line, where, label_map),
+                    events=_parse_plain_line(line, where, label_map, valid),
                 )
             else:
-                piece = _parse_jsonl_line(line, where)
+                piece = _parse_jsonl_line(line, where, valid)
             if piece.id in seen_ids:
                 raise CorpusFormatError(f"{where}: duplicate piece id {piece.id!r}")
             seen_ids.add(piece.id)
@@ -293,24 +308,36 @@ class CollapsedCorpus:
         return len(self.start) + len(self.trans)
 
 
+def chord_ids(piece: Piece, alphabet: ChordAlphabet) -> np.ndarray:
+    """Alphabet ids of a piece's chords, in order."""
+    return np.array([alphabet.id_of(c) for c, _ in piece.events], dtype=np.int64)
+
+
+def transition_classes(
+    ids: np.ndarray, alphabet: ChordAlphabet
+) -> tuple[np.ndarray, np.ndarray]:
+    """(context class row, relative continuation id) of every transition.
+
+    Transition k runs from chord ids[k] to ids[k + 1]. The relative id is the
+    continuation transposed by the shift that maps the context onto its class
+    representative, so a pair indexes the per-class feature tables directly.
+    """
+    prev = ids[:-1]
+    rows = alphabet.rep_row[prev]
+    rels = alphabet.perm[-alphabet.shift_of[prev] % N_PITCH_CLASSES, ids[1:]]
+    return rows, rels
+
+
 def collapse_piece(piece: Piece, alphabet: ChordAlphabet) -> CollapsedPiece:
+    ids = chord_ids(piece, alphabet)
     start: dict[int, int] = {}
-    trans: dict[tuple[int, int], int] = {}
-    chords = piece.chords
-    ids = [alphabet.id_of(c) for c in chords]
-    for k, j in enumerate(ids):
-        if k == 0:
-            rep_id = int(alphabet.rep_ids[alphabet.rep_row[j]])
-            start[rep_id] = start.get(rep_id, 0) + 1
-        else:
-            i = ids[k - 1]
-            row = int(alphabet.rep_row[i])
-            shift = int(alphabet.shift_of[i])
-            rel = int(alphabet.perm[(-shift) % N_PITCH_CLASSES, j])
-            key = (row, rel)
-            trans[key] = trans.get(key, 0) + 1
+    if len(ids):
+        start[int(alphabet.rep_ids[alphabet.rep_row[ids[0]]])] = 1
+    rows, rels = transition_classes(ids, alphabet)
+    # Counter keeps first-occurrence order, as the per-event loop did
+    trans = dict(Counter(zip(rows.tolist(), rels.tolist())))
     return CollapsedPiece(
-        piece_id=piece.id, n_events=len(chords), start=start, trans=trans
+        piece_id=piece.id, n_events=len(ids), start=start, trans=trans
     )
 
 

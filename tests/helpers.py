@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import copy
+import io
 import itertools
 import math
 from functools import lru_cache
@@ -21,14 +22,28 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize, root
 
-from chordmodel.corpus import CorpusFile, Piece, collapse, preprocess_corpus
+from chordmodel.cli import FEATURE_CSV_COLUMNS, _write_csv
+from chordmodel.corpus import (
+    CollapsedPiece,
+    CorpusFile,
+    Piece,
+    collapse,
+    preprocess_corpus,
+)
+from chordmodel.features import FEATURE_NAMES
 from chordmodel.model import (
     EnergyModel,
     corpus_cost,
     corpus_gradient,
     sample_sequence,
 )
-from chordmodel.pcset import normal_form, pc_distance, transpose
+from chordmodel.pcset import (
+    N_PITCH_CLASSES,
+    format_pcset,
+    normal_form,
+    pc_distance,
+    transpose,
+)
 from chordmodel.spectrum import (
     SpectrumParams,
     harmonic_tone_spectrum,
@@ -104,6 +119,54 @@ def diatonic_corpus(seed: int, n_pieces: int) -> CorpusFile:
 
 def collapsed(space, corpus: CorpusFile):
     return collapse(preprocess_corpus(corpus), space.alphabet)
+
+
+def collapse_piece_reference(piece: Piece, alphabet) -> CollapsedPiece:
+    """collapse_piece one event at a time, through the alphabet's arrays."""
+    start: dict[int, int] = {}
+    trans: dict[tuple[int, int], int] = {}
+    chords = piece.chords
+    ids = [alphabet.id_of(c) for c in chords]
+    for k, j in enumerate(ids):
+        if k == 0:
+            rep_id = int(alphabet.rep_ids[alphabet.rep_row[j]])
+            start[rep_id] = start.get(rep_id, 0) + 1
+        else:
+            i = ids[k - 1]
+            row = int(alphabet.rep_row[i])
+            shift = int(alphabet.shift_of[i])
+            rel = int(alphabet.perm[(-shift) % N_PITCH_CLASSES, j])
+            key = (row, rel)
+            trans[key] = trans.get(key, 0) + 1
+    return CollapsedPiece(
+        piece_id=piece.id, n_events=len(chords), start=start, trans=trans
+    )
+
+
+def features_csv_reference(space, corpus: CorpusFile, config) -> bytes:
+    """The features CSV one event at a time, from
+    FeatureSpace.raw_transition_values and TransitionFeatureStats.standardize."""
+    al = space.alphabet
+
+    def rows():
+        for piece in corpus.pieces:
+            prev_id: int | None = None
+            prev_str = ""
+            for chord in piece.chords:
+                cur_id = al.id_of(chord)
+                raw = space.raw_transition_values(prev_id, cur_id)
+                std = space.stats.standardize(raw)
+                row = {"piece_id": piece.id, "prev": prev_str,
+                       "cur": format_pcset(chord)}
+                for j, name in enumerate(FEATURE_NAMES):
+                    row[f"{name}_raw"] = float(raw[j])
+                    row[f"{name}_std"] = float(std[j])
+                yield row
+                prev_id, prev_str = cur_id, format_pcset(chord)
+
+    buf = io.StringIO(newline="")
+    _write_csv(buf, FEATURE_CSV_COLUMNS, rows(), config)
+    return buf.getvalue().encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

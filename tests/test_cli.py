@@ -9,17 +9,23 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chordmodel.cli import main
-from chordmodel.features import FEATURE_NAMES
+from chordmodel.cli import RunConfig, main
+from chordmodel.corpus import load_label_map, parse_corpus, preprocess_corpus
+from chordmodel.features import FEATURE_NAMES, get_feature_space
+from chordmodel.spectrum import SpectrumParams
 
 from conftest import CACHE_DIR
+from helpers import features_csv_reference
 
 PLAIN_CORPUS = "\n".join(
     [
@@ -125,6 +131,99 @@ def test_features_bytes_independent_of_blas_threads(tmp_path):
     assert len(outputs["1"]) == 6
     for name, data in outputs["1"].items():
         assert data == outputs["2"][name], name
+
+
+def assert_features_match_reference(corpus, fmt, fields, label_map=None):
+    """features stdout and -o bytes equal the per-event reference writer.
+
+    fields holds RunConfig values among q_literal, bins and harmonics.
+    """
+    config = RunConfig(**fields, corpus_format=fmt)
+    options = ["--q-literal"] if config.q_literal else []
+    for name in ("bins", "harmonics"):
+        if name in fields:
+            options += [f"--{name}", fields[name]]
+    if label_map is not None:
+        options += ["--label-map", label_map]
+    runner = CliRunner()
+    stdout = run(runner, *cached("features", corpus, *options))
+    assert stdout.exit_code == 0, stdout.output
+    out = Path(corpus).with_suffix(".csv")
+    to_file = run(runner, *cached("features", corpus, *options, "-o", out))
+    assert to_file.exit_code == 0, to_file.output
+
+    space = get_feature_space(
+        SpectrumParams(n_harmonics=config.harmonics, n_bins=config.bins),
+        literal_q=config.q_literal, cache_dir=CACHE_DIR,
+    )
+    labels = None if label_map is None else load_label_map(label_map)
+    parsed = preprocess_corpus(parse_corpus(corpus, fmt, labels))
+    want = features_csv_reference(space, parsed, config)
+    assert stdout.stdout_bytes == want
+    assert out.read_bytes() == want
+
+
+FEATURE_SETTINGS = {"default": {}, "q-literal": {"q_literal": True},
+                    "bins-600-h11": {"bins": 600, "harmonics": 11}}
+
+# ids that csv.writer must quote (comma, quote, newline) or pass through
+# (space, non-ASCII)
+piece_ids_st = st.text(
+    st.sampled_from(list('ab ,"\n\r\'\u00e9\u2603;')) | st.characters(
+        blacklist_categories=("Cs", "Cc")),
+    min_size=1, max_size=6,
+)
+
+
+@st.composite
+def jsonl_pieces(draw):
+    """Pieces with 1- and 12-note chords, one-chord pieces and bass changes
+    over a repeated set, which preprocessing keeps as repeated chords."""
+    chord = st.one_of(
+        st.sampled_from([(0,), (0, 4, 7), tuple(range(12))]),
+        st.integers(1, 4095).map(lambda m: tuple(p for p in range(12) if m >> p & 1)),
+    )
+    ids = draw(st.lists(piece_ids_st, min_size=1, max_size=5, unique=True))
+    pieces = []
+    for piece_id in ids:
+        events = []
+        for _ in range(draw(st.integers(1, 8))):
+            if events and draw(st.booleans()):
+                pcs = events[-1][0]  # same set, maybe a new bass
+            else:
+                pcs = draw(chord)
+            events.append((pcs, draw(st.none() | st.sampled_from(pcs))))
+        pieces.append({"id": piece_id, "chords": [list(c) for c, _ in events],
+                       "bass": [b for _, b in events]})
+    return pieces
+
+
+@pytest.mark.parametrize("name", FEATURE_SETTINGS)
+@settings(max_examples=50, deadline=None)
+@given(pieces=jsonl_pieces())
+def test_features_bytes_equal_eventwise_reference(name, pieces):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "c.jsonl"
+        corpus.write_text("".join(json.dumps(p) + "\n" for p in pieces),
+                          encoding="utf-8")
+        assert_features_match_reference(corpus, "jsonl", FEATURE_SETTINGS[name])
+
+
+LABELS = {"I": [0, 4, 7], "V7": [7, 11, 2, 5], "aug": [0, 4, 8], "n": [5],
+          "all": list(range(12))}
+
+
+@settings(max_examples=25, deadline=None)
+@given(pieces=st.lists(st.lists(st.sampled_from(sorted(LABELS)), min_size=1,
+                                max_size=8), min_size=1, max_size=5))
+def test_features_bytes_equal_eventwise_reference_with_label_map(pieces):
+    with tempfile.TemporaryDirectory() as tmp:
+        labels = Path(tmp) / "labels.json"
+        labels.write_text(json.dumps(LABELS), encoding="utf-8")
+        corpus = Path(tmp) / "c.txt"
+        corpus.write_text("".join(" ".join(p) + "\n" for p in pieces),
+                          encoding="utf-8")
+        assert_features_match_reference(corpus, "plain", {}, label_map=labels)
 
 
 def test_empty_corpus_is_a_usage_error(runner, tmp_path):

@@ -6,6 +6,8 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordmodel.corpus import (
     CollapsedCorpus,
@@ -19,7 +21,7 @@ from chordmodel.corpus import (
     write_corpus,
 )
 
-from helpers import make_corpus
+from helpers import collapse_piece_reference, make_corpus
 
 
 def write_lines(path, lines):
@@ -103,6 +105,43 @@ def test_jsonl_errors_name_the_line(tmp_path, line, fragment):
         parse_corpus(p, fmt="jsonl")
     assert "bad.jsonl:2" in str(err.value)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "chords", ["[[1],[true]]", "[[1],[1.0]]", "[[0,4,7],[0,4,7.0]]", "[[1],[false]]"]
+)
+def test_chords_equal_to_a_valid_one_are_still_validated(tmp_path, chords):
+    """[1], [true] and [1.0] are equal lists; only the first is a chord."""
+    p = tmp_path / "memo.jsonl"
+    write_lines(p, [f'{{"id": "a", "chords": {chords}}}'])
+    with pytest.raises(CorpusFormatError) as err:
+        parse_corpus(p)
+    bad = json.loads(chords)[1]
+    value = next(v for v in bad if type(v) is not int)
+    assert str(err.value) == f"memo.jsonl:1: chord 1: pitch class {value!r} outside 0..11"
+
+
+@pytest.mark.parametrize("chords", ["[[true],[1]]", "[[1.0],[1]]", "[[0,4,7.0],[0,4,7]]"])
+def test_invalid_chord_before_an_equal_valid_one_names_its_index(tmp_path, chords):
+    p = tmp_path / "memo.jsonl"
+    write_lines(p, [f'{{"id": "a", "chords": {chords}}}'])
+    with pytest.raises(CorpusFormatError, match=r"^memo\.jsonl:1: chord 0: pitch class"):
+        parse_corpus(p)
+
+
+def test_repeated_chords_share_one_tuple(tmp_path):
+    p = tmp_path / "c.jsonl"
+    write_lines(p, [
+        '{"id": "a", "chords": [[0, 4, 7], [7, 4, 0]], "bass": [0, 4]}',
+        '{"id": "b", "chords": [[0, 4, 7]]}',
+    ])
+    a, b = parse_corpus(p).pieces
+    assert a.chords[0] == (0, 4, 7) and a.chords[1] == (0, 4, 7)
+    assert b.chords[0] is a.chords[0]
+    p = tmp_path / "c.txt"
+    write_lines(p, ["0,4,7 5,9,0", "0,4,7"])
+    a, b = parse_corpus(p, fmt="plain").pieces
+    assert b.chords[0] is a.chords[0]
 
 
 def test_plain_errors(tmp_path):
@@ -280,3 +319,29 @@ def test_preprocess_corpus_applies_to_every_piece():
     out = preprocess_corpus(corpus)
     assert tuple(p.chords for p in out.pieces) == (((0,), (1,)), ((5,),))
     assert out.meta is corpus.meta
+
+
+# transposition-symmetric chords: a context with several shifts onto its
+# representative, where the chosen shift decides the relative continuation
+SYMMETRIC_CHORDS = [(0, 6), (0, 4, 8), (0, 3, 6, 9), (0, 2, 4, 6, 8, 10)]
+
+chords_st = st.one_of(
+    st.integers(1, 4095).map(lambda m: tuple(p for p in range(12) if m >> p & 1)),
+    st.tuples(st.sampled_from(SYMMETRIC_CHORDS), st.integers(0, 11)).map(
+        lambda ct: tuple(sorted((p + ct[1]) % 12 for p in ct[0]))
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pieces=st.lists(st.lists(chords_st, max_size=12), min_size=1, max_size=6))
+def test_collapse_equals_eventwise_reference(alphabet, pieces):
+    corpus = make_corpus(pieces)
+    cc = collapse(corpus, alphabet)
+    for got, piece in zip(cc.pieces, corpus.pieces, strict=True):
+        want = collapse_piece_reference(piece, alphabet)
+        assert got == want
+        # same keys in the same first-occurrence order, as Python ints
+        assert list(got.trans.items()) == list(want.trans.items())
+        assert all(type(v) is int for key in got.trans for v in key)
+        assert all(type(v) is int for v in got.start)
