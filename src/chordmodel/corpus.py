@@ -334,7 +334,7 @@ def collapse_piece(piece: Piece, alphabet: ChordAlphabet) -> CollapsedPiece:
     if len(ids):
         start[int(alphabet.rep_ids[alphabet.rep_row[ids[0]]])] = 1
     rows, rels = transition_classes(ids, alphabet)
-    # Counter keeps first-occurrence order, as the per-event loop did
+    # Counter keeps the keys in order of first occurrence
     trans = dict(Counter(zip(rows.tolist(), rels.tolist())))
     return CollapsedPiece(
         piece_id=piece.id, n_events=len(ids), start=start, trans=trans

@@ -170,7 +170,7 @@ FEATURE_SETTINGS = {"default": {}, "q-literal": {"q_literal": True},
 # (space, non-ASCII)
 piece_ids_st = st.text(
     st.sampled_from(list('ab ,"\n\r\'\u00e9\u2603;')) | st.characters(
-        blacklist_categories=("Cs", "Cc")),
+        exclude_categories=("Cs", "Cc")),
     min_size=1, max_size=6,
 )
 
