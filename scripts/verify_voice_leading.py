@@ -88,8 +88,8 @@ def main() -> int:
             print(f"  {k + 1}/{len(pairs)} checked "
                   f"({(time.time() - t0):.0f} s elapsed)")
 
-    # the scalar entry point shares its core with the matrix builder but
-    # rotates the smaller side; check it independently on a subsample
+    # the scalar entry point is a separate pure-Python implementation of the
+    # same dynamic program; check it independently on a subsample
     rng = np.random.default_rng(args.seed + 1)
     scalar_bad = 0
     for _ in range(1500):

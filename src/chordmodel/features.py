@@ -21,8 +21,10 @@ downstream (model fitting, importance, the command line) reads from it.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,7 +46,7 @@ from .spectrum import (
     tone_correlations,
     tone_similarity_profile,
 )
-from .voiceleading import voice_leading_distance, voice_leading_matrix
+from .voiceleading import VL_MATRIX_SHA256, voice_leading_distance, voice_leading_matrix
 
 FEATURE_NAMES = (
     "chord_size",
@@ -320,30 +322,33 @@ class FeatureSpace:
 
     def _cached_vl_matrix(self, cache_dir: str | Path | None) -> np.ndarray:
         al = self.alphabet
-        if cache_dir is None:
-            return voice_leading_matrix(al)
-        path = Path(cache_dir) / f"voiceleading-{al.ordering_hash()}.npy"
-        try:
-            stored = np.load(path)
-            if stored.shape == (al.n_classes, len(al)) and stored.dtype == np.uint8:
-                return stored.astype(float)
-        except (OSError, ValueError, EOFError):
-            pass  # missing, truncated or not an .npy file: rebuild it
-        matrix = voice_leading_matrix(al)
-        # the distances are whole semitone counts, at most 36
-        stored = matrix.astype(np.uint8)
-        if not np.array_equal(stored, matrix):
-            raise ValueError("voice-leading distances are not integers in 0..255")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # a killed run or a concurrent reader never sees a partial file
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            with open(tmp, "wb") as fh:
-                np.save(fh, stored)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-        return matrix
+
+        def pinned(m: np.ndarray) -> bool:
+            digest = hashlib.sha256(m.tobytes()).hexdigest()
+            return (m.dtype, m.shape, digest) == (
+                np.uint8, (al.n_classes, len(al)), VL_MATRIX_SHA256)
+
+        if cache_dir is not None:
+            path = Path(cache_dir) / f"voiceleading-{al.ordering_hash()}.npy"
+            # a missing, truncated or not .npy file is rebuilt like a wrong one
+            with suppress(OSError, ValueError, EOFError), path.open("rb") as fh:
+                stored = np.lib.format.read_array(fh)
+                if pinned(stored):
+                    return stored.astype(float)
+        stored = np.asarray(voice_leading_matrix(al), dtype=np.uint8)
+        if not pinned(stored):
+            raise RuntimeError("voice-leading matrix does not match VL_MATRIX_SHA256")
+        if cache_dir is not None:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            # a killed run or a concurrent reader never sees a partial file
+            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+            try:
+                with open(tmp, "wb") as fh:
+                    np.save(fh, stored)
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
+        return stored.astype(float)
 
     def context_row_perm(self, context_id: int) -> tuple[int, np.ndarray]:
         """Class row and continuation permutation for an arbitrary context.
@@ -392,7 +397,7 @@ def get_feature_space(
     literal_q: bool = False,
     cache_dir: str | Path | None = None,
 ) -> FeatureSpace:
-    """Process-wide memoized FeatureSpace (about 40 s to construct without a
+    """Process-wide memoized FeatureSpace (about 3 s to construct without a
     cached voice-leading matrix, 0.1 s with one)."""
     key = (params, literal_q)
     if key not in _SPACES:

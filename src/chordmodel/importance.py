@@ -327,10 +327,6 @@ def bootstrap(
             raise ValueError(f"unknown measure: {m!r}")
 
     n_pieces = len(pieces.pieces)
-    point = feature_importance(
-        corpus=pieces, space=space, ridge=ridge, measures=measures
-    )
-    warm = {key: res.weights for key, res in point.fits.items()}
 
     def run_replicate(r: int) -> ImportanceReport:
         mult = _replicate_multiplicities(seed, r, n_pieces)
@@ -345,11 +341,14 @@ def bootstrap(
             warm_starts=warm,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run_replicate, range(n_replicates)))
-    else:
-        reports = [run_replicate(r) for r in range(n_replicates)]
+    # the point nest runs on the pool too: with one thread every fit then reuses
+    # the memory of one malloc arena, where a second arena raised peak memory
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        point = pool.submit(
+            feature_importance, pieces, space, ridge=ridge, measures=measures
+        ).result()
+        warm = {key: res.weights for key, res in point.fits.items()}
+        reports = list(pool.map(run_replicate, range(n_replicates)))
 
     replicates = {
         m: np.array([rep.values(m) for rep in reports]) for m in measures

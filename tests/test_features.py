@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +27,9 @@ from chordmodel.features import (
     transition_features,
     virtual_pitch_spectrum,
 )
+from chordmodel.pcset import enumerate_alphabet
 from chordmodel.spectrum import SpectrumParams, pcset_spectrum, spectral_distance
-from chordmodel.voiceleading import voice_leading_distance
+from chordmodel.voiceleading import VL_MATRIX_SHA256, voice_leading_distance
 
 from helpers import harmonicity_oracle
 
@@ -230,17 +237,22 @@ def test_feature_space_tables(space):
 
 
 @pytest.mark.parametrize(
-    "damage", ["truncated", "empty", "not_npy", "wrong_shape", "float64"]
+    "damage",
+    ["truncated", "empty", "not_npy", "npz", "wrong_shape", "float64", "flipped_byte"],
 )
 def test_unreadable_voice_leading_cache_is_rebuilt(space, tmp_path, monkeypatch, damage):
     path = tmp_path / f"voiceleading-{space.alphabet.ordering_hash()}.npy"
     stored = space.vl_matrix.astype(np.uint8)
     np.save(path, {"wrong_shape": stored[:-1], "float64": space.vl_matrix}.get(damage, stored))
     data = path.read_bytes()
+    archive = io.BytesIO()
+    np.savez(archive, stored)
     path.write_bytes({
         "truncated": data[: len(data) // 2],
         "empty": b"",
         "not_npy": b"\x00garbage" * 100,
+        "npz": archive.getvalue(),
+        "flipped_byte": data[:-1] + bytes([data[-1] ^ 1]),
     }.get(damage, data))
     builds = []
 
@@ -256,6 +268,57 @@ def test_unreadable_voice_leading_cache_is_rebuilt(space, tmp_path, monkeypatch,
     assert np.load(path).dtype == np.uint8
     assert np.array_equal(np.load(path), space.vl_matrix)
     assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file left
+
+
+def test_voice_leading_cache_ignores_a_stale_key(space, tmp_path, monkeypatch):
+    stale = tmp_path / "voiceleading-0000000000000000.npy"
+    np.save(stale, space.vl_matrix.astype(np.uint8))
+    data = stale.read_bytes()
+    builds = []
+    monkeypatch.setattr(
+        features, "voice_leading_matrix",
+        lambda alphabet: builds.append(alphabet) or space.vl_matrix,
+    )
+    FeatureSpace(cache_dir=tmp_path)
+    assert len(builds) == 1
+    assert stale.read_bytes() == data
+    path = tmp_path / f"voiceleading-{space.alphabet.ordering_hash()}.npy"
+    assert sorted(tmp_path.iterdir()) == sorted([stale, path])
+
+
+def test_voice_leading_build_off_the_pinned_digest_raises(space, tmp_path, monkeypatch):
+    wrong = space.vl_matrix.copy()
+    wrong[0, 0] += 1.0
+    monkeypatch.setattr(features, "voice_leading_matrix", lambda alphabet: wrong)
+    with pytest.raises(RuntimeError, match="VL_MATRIX_SHA256"):
+        FeatureSpace(cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_concurrent_voice_leading_cache_writers(tmp_path):
+    """Two processes that build into one empty cache both get the pinned matrix."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = (
+        "import hashlib, sys, numpy as np\n"
+        "from chordmodel.features import FeatureSpace\n"
+        "vl = FeatureSpace(cache_dir=sys.argv[1]).vl_matrix\n"
+        "print(hashlib.sha256(vl.astype(np.uint8).tobytes()).hexdigest())\n"
+    )
+    procs = [
+        subprocess.Popen([sys.executable, "-c", child, str(tmp_path)], env=env,
+                         stdout=subprocess.PIPE, text=True)
+        for _ in range(2)
+    ]
+    outputs = [p.communicate(timeout=600)[0].strip() for p in procs]
+    assert [p.returncode for p in procs] == [0, 0]
+    assert outputs == [VL_MATRIX_SHA256] * 2
+    (path,) = tmp_path.iterdir()  # one cache file and no temporary file
+    assert path.name == f"voiceleading-{enumerate_alphabet().ordering_hash()}.npy"
+    stored = np.load(path)
+    assert stored.dtype == np.uint8
+    assert hashlib.sha256(stored.tobytes()).hexdigest() == VL_MATRIX_SHA256
 
 
 def test_transposition_invariance_of_feature_rows(space):

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chordmodel.pcset import transpose
-from chordmodel.voiceleading import voice_leading_distance
+from chordmodel.pcset import enumerate_alphabet, transpose
+from chordmodel.voiceleading import (
+    VL_MATRIX_SHA256,
+    voice_leading_distance,
+    voice_leading_matrix,
+)
 from helpers import cost_matrix, edge_cover_star_union, voice_leading_oracle
 
 pcsets = st.sets(st.integers(0, 11), min_size=1).map(lambda s: tuple(sorted(s)))
@@ -77,3 +84,23 @@ def test_matrix_agrees_with_scalar_operation(space):
         rep = al[int(al.rep_ids[int(r)])]
         chord = al[int(c)]
         assert space.vl_matrix[int(r), int(c)] == voice_leading_distance(rep, chord)
+
+
+@pytest.fixture(scope="module")
+def built_matrix():
+    """A fresh build: the session space may have loaded its matrix from disk."""
+    return voice_leading_matrix(enumerate_alphabet())
+
+
+def test_matrix_build_matches_pinned_digest(built_matrix):
+    assert built_matrix.dtype == np.uint8
+    assert built_matrix.shape == (351, 4095)
+    assert hashlib.sha256(built_matrix.tobytes()).hexdigest() == VL_MATRIX_SHA256
+
+
+@given(st.integers(0, 350), st.integers(0, 4094))
+@settings(max_examples=300, deadline=None)
+def test_matrix_build_matches_scalar_distance(built_matrix, row, chord):
+    al = enumerate_alphabet()
+    rep = al[int(al.rep_ids[row])]
+    assert built_matrix[row, chord] == voice_leading_distance(rep, al[chord])
