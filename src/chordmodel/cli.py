@@ -30,12 +30,12 @@ from pathlib import Path
 import click
 import numpy as np
 
+from .atomic import replacing
 from .corpus import (
     CorpusFile,
     CorpusFormatError,
     CorpusMeta,
     Piece,
-    chord_ids,
     collapse,
     load_label_map,
     parse_corpus,
@@ -171,12 +171,16 @@ def _parse_feature_mask(spec: str | None) -> tuple[np.ndarray, tuple[str, ...]]:
     return mask, tuple(n for n in FEATURE_NAMES if n in names)
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _write_json(path: Path | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path is None:
-        click.echo(text, nl=False)
+        click.echo(_json_text(payload), nl=False)
     else:
-        path.write_text(text, encoding="utf-8")
+        with replacing(path) as (tmp,):
+            tmp.write_text(_json_text(payload), encoding="utf-8")
 
 
 def _csv_value(v) -> str:
@@ -247,7 +251,7 @@ def _write_features(fh, space: FeatureSpace, corpus: CorpusFile,
         return chord_text[j]
 
     for piece in corpus.pieces:
-        ids = chord_ids(piece, al)
+        ids = np.array([al.id_of(c) for c in piece.chords], dtype=np.int64)
         piece_id = _csv_field(piece.id)
         name, head, tail = chord(int(ids[0]))
         lines = [f"{piece_id},,{head},{start_raw},{tail},0.0,0.0\r\n"]
@@ -301,7 +305,8 @@ def cmd_features(corpus_path, output, corpus_format, label_map,
     if output is None:
         _write_features(click.get_text_stream("stdout"), space, corpus, config)
     else:
-        with open(output, "w", newline="", encoding="utf-8") as fh:
+        with (replacing(output) as (tmp,),
+              open(tmp, "w", newline="", encoding="utf-8") as fh):
             _write_features(fh, space, corpus, config)
         n_events = sum(len(piece.chords) for piece in corpus.pieces)
         click.echo(f"wrote {n_events} event rows to {output}")
@@ -387,7 +392,7 @@ def cmd_importance(corpus_path, output_prefix, bootstrap_b, level, seed, ridge,
     collapsed = collapse(corpus, space.alphabet)
 
     if bootstrap_b > 0:
-        if len(collapsed.pieces) < 2:
+        if len(collapsed.piece_ids) < 2:
             raise click.UsageError(
                 "bootstrap needs at least 2 pieces to resample"
             )
@@ -425,20 +430,20 @@ def cmd_importance(corpus_path, output_prefix, bootstrap_b, level, seed, ridge,
     if output_prefix is None:
         _write_json(None, payload)
         return
-    json_path = Path(f"{output_prefix}.json")
-    csv_path = Path(f"{output_prefix}.csv")
-    _write_json(json_path, payload)
-    _write_csv_file(csv_path, IMPORTANCE_CSV_COLUMNS, rows, config)
-    written = [str(json_path), str(csv_path)]
+    written = [Path(f"{output_prefix}.json"), Path(f"{output_prefix}.csv")]
     if pc is not None:
-        pieces_csv = Path(f"{output_prefix}.pieces.csv")
-        _write_csv_file(pieces_csv, PIECE_CSV_COLUMNS, pc.rows(), config)
-        written.append(str(pieces_csv))
-        if pc.skipped:
-            click.echo(
-                f"skipped {len(pc.skipped)} piece(s) with fewer than 2 "
-                f"events: {', '.join(pc.skipped)}"
-            )
+        written.append(Path(f"{output_prefix}.pieces.csv"))
+    # the old files stay until every new one is written
+    with replacing(*written) as tmps:
+        tmps[0].write_text(_json_text(payload), encoding="utf-8")
+        _write_csv_file(tmps[1], IMPORTANCE_CSV_COLUMNS, rows, config)
+        if pc is not None:
+            _write_csv_file(tmps[2], PIECE_CSV_COLUMNS, pc.rows(), config)
+    if pc is not None and pc.skipped:
+        click.echo(
+            f"skipped {len(pc.skipped)} piece(s) with fewer than 2 "
+            f"events: {', '.join(pc.skipped)}"
+        )
     for row in rows:
         if row["measure"] != "weight":
             continue
@@ -446,7 +451,7 @@ def cmd_importance(corpus_path, output_prefix, bootstrap_b, level, seed, ridge,
         if row["lower"] is not None:
             interval = f"  [{row['lower']:+.4f}, {row['upper']:+.4f}]"
         click.echo(f"{row['feature']:24s} weight {row['estimate']:+.4f}{interval}")
-    click.echo("wrote " + ", ".join(written))
+    click.echo("wrote " + ", ".join(map(str, written)))
 
 
 def _weights_from_file(path: str) -> np.ndarray:

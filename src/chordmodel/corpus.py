@@ -22,19 +22,22 @@ Collapse groups events by the transposition normal form of their (context,
 continuation) pair; events with no context group by the continuation's
 normal form alone. Transposition-invariant features make each group share
 one probability, so downstream cost and gradient work scales with the number
-of distinct groups rather than the number of events.
+of distinct groups rather than the number of events. A collapsed corpus is
+one count matrix, with a row per piece and a column per group.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
+from .atomic import replacing
 from .pcset import N_PITCH_CLASSES, ChordAlphabet, PcSet, enumerate_alphabet
 
 Event = tuple[PcSet, int | None]
@@ -233,7 +236,8 @@ def write_corpus(corpus: CorpusFile, path: str | Path, fmt: str = "jsonl") -> No
             lines.append(json.dumps(obj, separators=(",", ":")))
         else:
             raise ValueError(f"unknown corpus format {fmt!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with replacing(path) as (tmp,):
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def preprocess(piece: Piece) -> Piece:
@@ -260,57 +264,69 @@ def preprocess_corpus(corpus: CorpusFile) -> CorpusFile:
     )
 
 
-@dataclass(frozen=True)
-class CollapsedPiece:
-    """Event counts of one piece, keyed by transposition class.
-
-    start: continuation class representative id -> count (context-free
-    events; one per non-empty piece). trans: (context class row, relative
-    continuation id) -> count, where the relative id is the continuation
-    transposed by the shift that maps the context onto its representative.
-    """
-
-    piece_id: str
-    n_events: int
-    start: dict[int, int] = field(default_factory=dict)
-    trans: dict[tuple[int, int], int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollapsedCorpus:
-    """Per-piece collapsed counts plus their corpus-level aggregate.
+    """Event counts as a CSR integer matrix: row i is piece i, with counts
+    data[indptr[i]:indptr[i + 1]] in the columns indices[indptr[i]:indptr[i + 1]].
 
-    n_events, start and trans are derived from the pieces: each is the sum
-    over the pieces, so a piece listed k times counts k times (a bootstrap
-    replicate is the resampled pieces, repeats included).
+    Columns are the collapsed groups in sorted code order. A start group, the
+    class representative id of a piece's first chord, is coded by itself; a
+    transition group (row, rel) (see transition_classes) by
+    (row + 1) * CODE_BASE + rel. start and trans are the nonzero column
+    totals as read-only dicts, keys sorted.
     """
 
-    pieces: tuple[CollapsedPiece, ...]
-    n_events: int = field(init=False)
-    start: dict[int, int] = field(init=False)
-    trans: dict[tuple[int, int], int] = field(init=False)
+    CODE_BASE = 2**N_PITCH_CLASSES  # above every chord id
+    piece_ids: tuple[str, ...]
+    codes: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
 
-    def __post_init__(self) -> None:
-        start: dict[int, int] = {}
-        trans: dict[tuple[int, int], int] = {}
-        for piece in self.pieces:
-            for key, count in piece.start.items():
-                start[key] = start.get(key, 0) + count
-            for key2, count in piece.trans.items():
-                trans[key2] = trans.get(key2, 0) + count
-        object.__setattr__(self, "n_events", sum(p.n_events for p in self.pieces))
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "trans", trans)
+    @property
+    def n_events(self) -> int:
+        return int(self.data.sum())
+
+    @cached_property
+    def group_counts(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """(start ids, counts) and (context rows, relative ids, counts) of the
+        groups with a nonzero column total, in code order, counts as floats."""
+        # float sums of integer counts are exact below 2**53
+        totals = np.bincount(self.indices, self.data, len(self.codes))
+        codes, totals = self.codes[totals > 0], totals[totals > 0]
+        n_start = np.searchsorted(codes, self.CODE_BASE)
+        rows, rels = np.divmod(codes[n_start:], self.CODE_BASE)
+        return (codes[:n_start], totals[:n_start]), (rows - 1, rels, totals[n_start:])
+
+    @cached_property
+    def start(self) -> MappingProxyType:
+        ids, counts = self.group_counts[0]
+        return MappingProxyType(dict(zip(ids.tolist(), counts.astype(int).tolist())))
+
+    @cached_property
+    def trans(self) -> MappingProxyType:
+        rows, rels, counts = self.group_counts[1]
+        return MappingProxyType(dict(zip(zip(rows.tolist(), rels.tolist()),
+                                         counts.astype(int).tolist())))
 
     @property
     def n_classes(self) -> int:
         """Distinct collapsed groups; the collapse ratio is n_events over this."""
         return len(self.start) + len(self.trans)
 
+    def piece(self, i: int) -> CollapsedCorpus:
+        """Piece i alone: row i of the matrix."""
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return CollapsedCorpus((self.piece_ids[i],), self.codes, np.array([0, hi - lo]),
+                               self.indices[lo:hi], self.data[lo:hi])
 
-def chord_ids(piece: Piece, alphabet: ChordAlphabet) -> np.ndarray:
-    """Alphabet ids of a piece's chords, in order."""
-    return np.array([alphabet.id_of(c) for c, _ in piece.events], dtype=np.int64)
+    @property
+    def pieces(self) -> tuple[CollapsedCorpus, ...]:
+        return tuple(self.piece(i) for i in range(len(self.piece_ids)))
+
+    def resampled(self, mult) -> CollapsedCorpus:
+        """The bootstrap replicate that draws piece i mult[i] times."""
+        return replace(self, data=self.data * np.repeat(mult, np.diff(self.indptr)))
 
 
 def transition_classes(
@@ -328,24 +344,22 @@ def transition_classes(
     return rows, rels
 
 
-def collapse_piece(piece: Piece, alphabet: ChordAlphabet) -> CollapsedPiece:
-    ids = chord_ids(piece, alphabet)
-    start: dict[int, int] = {}
-    if len(ids):
-        start[int(alphabet.rep_ids[alphabet.rep_row[ids[0]]])] = 1
-    rows, rels = transition_classes(ids, alphabet)
-    # Counter keeps the keys in order of first occurrence
-    trans = dict(Counter(zip(rows.tolist(), rels.tolist())))
-    return CollapsedPiece(
-        piece_id=piece.id, n_events=len(ids), start=start, trans=trans
-    )
-
-
 def collapse(
     corpus: CorpusFile, alphabet: ChordAlphabet | None = None
 ) -> CollapsedCorpus:
-    """Collapse a preprocessed corpus into transposition-class counts."""
+    """Collapse a preprocessed corpus into per-piece group counts."""
     alphabet = alphabet or enumerate_alphabet()
-    return CollapsedCorpus(
-        tuple(collapse_piece(p, alphabet) for p in corpus.pieces)
-    )
+    lengths = [len(p.events) for p in corpus.pieces]
+    ids = np.array([alphabet.id_of(c) for p in corpus.pieces for c, _ in p.events],
+                   dtype=np.int64)
+    piece_of = np.repeat(np.arange(len(lengths)), lengths)
+    # start codes, then transition codes for events after one of their piece
+    codes = alphabet.rep_ids[alphabet.rep_row[ids]]
+    rows, rels = transition_classes(ids, alphabet)
+    codes[1:] = np.where(piece_of[1:] == piece_of[:-1],
+                         (rows + 1) * CollapsedCorpus.CODE_BASE + rels, codes[1:])
+    groups, column = np.unique(codes, return_inverse=True)
+    cells, counts = np.unique(piece_of * len(groups) + column, return_counts=True)
+    indptr = np.searchsorted(cells, np.arange(len(lengths) + 1) * len(groups))
+    return CollapsedCorpus(tuple(p.id for p in corpus.pieces), groups, indptr,
+                           cells % len(groups), counts)

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import replacing
 from .pcset import (
     N_PITCH_CLASSES,
     ChordAlphabet,
@@ -340,14 +340,8 @@ class FeatureSpace:
             raise RuntimeError("voice-leading matrix does not match VL_MATRIX_SHA256")
         if cache_dir is not None:
             path.parent.mkdir(parents=True, exist_ok=True)
-            # a killed run or a concurrent reader never sees a partial file
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            try:
-                with open(tmp, "wb") as fh:
-                    np.save(fh, stored)
-                os.replace(tmp, path)
-            finally:
-                tmp.unlink(missing_ok=True)
+            with replacing(path) as (tmp,), open(tmp, "wb") as fh:
+                np.save(fh, stored)
         return stored.astype(float)
 
     def context_row_perm(self, context_id: int) -> tuple[int, np.ndarray]:

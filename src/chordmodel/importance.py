@@ -14,13 +14,13 @@ Three measures per feature:
   another feature carries the same information.
 
 Corpus-level uncertainty comes from a nonparametric bootstrap that
-resamples whole pieces with replacement. Each replicate is an ordinary
-CollapsedCorpus of the drawn pieces, repeats included, on which every
-sub-model is refitted, warm-started from the full-corpus fits. Intervals
-are percentile intervals of the replicate distribution, and the point
-estimate is always the full-corpus value.
-Composition-level reports fit one model per piece with a small ridge
-penalty to tame short-piece maximum-likelihood degeneracies.
+resamples whole pieces with replacement. A replicate scales each piece's
+row of the corpus's count matrix by its draw count (resampled); every
+sub-model is refitted on it, warm-started from the full-corpus fits.
+Intervals are percentile intervals of the replicate distribution, and the
+point estimate is always the full-corpus value. Composition-level reports
+fit one model per piece (one matrix row) with a small ridge penalty to tame
+short-piece maximum-likelihood degeneracies.
 """
 
 from __future__ import annotations
@@ -315,7 +315,7 @@ def bootstrap(
     times, reruns feature_importance per replicate (warm-started from the
     full-corpus fits), and returns percentile intervals at the given level.
     """
-    if len(pieces.pieces) < 2:
+    if len(pieces.piece_ids) < 2:
         raise ValueError("bootstrap needs at least 2 pieces to resample")
     if n_replicates < 1:
         raise ValueError("n_replicates must be >= 1")
@@ -326,15 +326,10 @@ def bootstrap(
         if m not in MEASURES:
             raise ValueError(f"unknown measure: {m!r}")
 
-    n_pieces = len(pieces.pieces)
-
     def run_replicate(r: int) -> ImportanceReport:
-        mult = _replicate_multiplicities(seed, r, n_pieces)
-        replicate = CollapsedCorpus(
-            tuple(p for p, m in zip(pieces.pieces, mult) for _ in range(m))
-        )
+        mult = _replicate_multiplicities(seed, r, len(pieces.piece_ids))
         return feature_importance(
-            corpus=replicate,
+            corpus=pieces.resampled(mult),
             space=space,
             ridge=ridge,
             measures=measures,
@@ -404,18 +399,18 @@ def per_composition_importance(
     """
     reports: list[ImportanceReport] = []
     skipped: list[str] = []
-    for piece in pieces.pieces:
+    for piece_id, piece in zip(pieces.piece_ids, pieces.pieces):
         if piece.n_events < 2:
-            skipped.append(piece.piece_id)
+            skipped.append(piece_id)
             continue
         reports.append(
             feature_importance(
-                corpus=CollapsedCorpus((piece,)),
+                corpus=piece,
                 space=space,
                 ridge=ridge,
                 measures=measures,
                 level="composition",
-                piece_id=piece.piece_id,
+                piece_id=piece_id,
             )
         )
     return PerCompositionResult(reports=reports, skipped=tuple(skipped))

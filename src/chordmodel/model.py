@@ -11,13 +11,13 @@ log-likelihood, nats) only through sufficient statistics: the number of
 events n_r in each context row (the start context and one row per collapsed
 transposition class, at most 352 rows however large the corpus is) and the
 observed feature sums Phi, together with the per-row feature tables they
-are taken against. These statistics are built once per corpus; every
-sub-model of an importance nest is fitted from the same statistics object
-with its own feature mask. Cost, gradient (expected minus observed feature
-sums) and Hessian (count-weighted feature covariances) come from one
-vectorised pass over those rows. Every sum over rows, groups or chords is a
-numpy reduction in a fixed order rather than a BLAS product, so results are
-bit-identical across reruns and across BLAS thread counts.
+are taken against. The counts are the nonzero column totals of the corpus's
+count matrix. Every sub-model of an importance nest is fitted from the same
+statistics object with its own feature mask. Cost, gradient (expected minus
+observed feature sums) and Hessian (count-weighted feature covariances)
+come from one vectorised pass over those rows. Every sum over rows, groups
+or chords is a numpy reduction in a fixed order rather than a BLAS product,
+so results are bit-identical across reruns and across BLAS thread counts.
 
 The cost is convex in the weights. Fitting finds its minimum (optionally
 ridge-penalized) by damped Newton from w = 0, the textbook fit of a
@@ -133,16 +133,10 @@ class _RowStatistics:
 
 
 def _statistics(space: FeatureSpace, corpus: CollapsedCorpus) -> _RowStatistics:
-    start, trans = corpus.start, corpus.trans
-    keys = sorted(trans)
-    rows = np.array([row for row, _ in keys], dtype=np.int64)
-    rels = np.array([rel for _, rel in keys], dtype=np.int64)
-    counts = np.array([trans[key] for key in keys], dtype=float)
+    (start_ids, start_counts), (rows, rels, counts) = corpus.group_counts
     classes, row_of = np.unique(rows, return_inverse=True)
-    start_ids = np.array(sorted(start), dtype=np.int64)
-    start_counts = np.array([start[i] for i in start_ids], dtype=float)
     row_counts = np.bincount(row_of, weights=counts, minlength=len(classes))
-    if start:
+    if len(start_ids):
         row_counts = np.concatenate([[start_counts.sum()], row_counts])
 
     observed = np.einsum("i,ik->k", start_counts, space.start_features[start_ids])
@@ -153,7 +147,7 @@ def _statistics(space: FeatureSpace, corpus: CollapsedCorpus) -> _RowStatistics:
             "i,i->", counts, table[rels] if context_free else table[rows, rels])
         if context_free:
             tables.append(table[None])
-        elif start:
+        elif len(start_ids):
             tables.append(np.concatenate([space.start_features[None, :, k],
                                           table[classes]]))
         else:

@@ -24,7 +24,6 @@ from scipy.optimize import minimize, root
 
 from chordmodel.cli import FEATURE_CSV_COLUMNS, _write_csv
 from chordmodel.corpus import (
-    CollapsedPiece,
     CorpusFile,
     Piece,
     collapse,
@@ -121,8 +120,12 @@ def collapsed(space, corpus: CorpusFile):
     return collapse(preprocess_corpus(corpus), space.alphabet)
 
 
-def collapse_piece_reference(piece: Piece, alphabet) -> CollapsedPiece:
-    """collapse_piece one event at a time, through the alphabet's arrays."""
+def collapse_piece_reference(
+    piece: Piece, alphabet
+) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
+    """One piece's (start, trans) group counts, one event at a time, through
+    the alphabet's arrays: start maps a class representative id, trans a
+    (context class row, relative continuation id) key, to its count."""
     start: dict[int, int] = {}
     trans: dict[tuple[int, int], int] = {}
     chords = piece.chords
@@ -138,9 +141,7 @@ def collapse_piece_reference(piece: Piece, alphabet) -> CollapsedPiece:
             rel = int(alphabet.perm[(-shift) % N_PITCH_CLASSES, j])
             key = (row, rel)
             trans[key] = trans.get(key, 0) + 1
-    return CollapsedPiece(
-        piece_id=piece.id, n_events=len(chords), start=start, trans=trans
-    )
+    return start, trans
 
 
 def features_csv_reference(space, corpus: CorpusFile, config) -> bytes:

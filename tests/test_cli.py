@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -19,6 +20,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chordmodel import cli
 from chordmodel.cli import RunConfig, main
 from chordmodel.corpus import load_label_map, parse_corpus, preprocess_corpus
 from chordmodel.features import FEATURE_NAMES, get_feature_space
@@ -92,6 +94,85 @@ def test_features_file_output_matches_stdout(runner, corpus_file, tmp_path):
     assert "wrote 10 event rows" in result.output
     stdout = run(runner, *cached("features", corpus_file))
     assert out.read_text(encoding="utf-8") == stdout.output
+
+
+def test_failed_features_write_leaves_previous_file(runner, corpus_file,
+                                                   tmp_path, monkeypatch):
+    """features -o streams into a temporary file: a writer that raises after
+    the first piece's rows leaves the old output whole and no .tmp file."""
+    out = tmp_path / "features.csv"
+    run(runner, *cached("features", corpus_file, "-o", out))
+    before = out.read_bytes()
+    real = cli.transition_classes
+    calls = []
+
+    def fail_on_second_piece(ids, alphabet):
+        calls.append(len(ids))
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return real(ids, alphabet)
+
+    monkeypatch.setattr(cli, "transition_classes", fail_on_second_piece)
+    with pytest.raises(OSError, match="disk full"):
+        run(runner, *cached("features", corpus_file, "-o", out, "--rho", "0.5"))
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt", "features.csv"]
+
+
+def test_failed_importance_write_replaces_no_file(runner, corpus_file,
+                                                  tmp_path, monkeypatch):
+    """importance -o P replaces its three files only after all are written:
+    a failure in the last one leaves every old file as it was."""
+    prefix = tmp_path / "imp"
+    run(runner, *cached("importance", corpus_file, "--per-piece", "-o", prefix))
+    names = ["imp.csv", "imp.json", "imp.pieces.csv"]
+    before = {name: (tmp_path / name).read_bytes() for name in names}
+    real = cli._write_csv
+
+    def fail_in_pieces_csv(fh, columns, rows, config):
+        if columns == cli.PIECE_CSV_COLUMNS:
+            real(fh, columns, rows[:2], config)
+            raise OSError("disk full")
+        real(fh, columns, rows, config)
+
+    monkeypatch.setattr(cli, "_write_csv", fail_in_pieces_csv)
+    with pytest.raises(OSError, match="disk full"):
+        run(runner, *cached("importance", corpus_file, "--per-piece", "-o", prefix,
+                            "--ridge", "0.5"))
+    assert {name: (tmp_path / name).read_bytes() for name in names} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt", *names]
+
+
+def test_killed_features_run_leaves_previous_file(corpus_file, tmp_path):
+    """A child killed (SIGKILL) after writing the first piece's rows of
+    features -o leaves the previous file under the final name."""
+    out = tmp_path / "features.csv"
+    out.write_bytes(b"previous\n")
+    code = (
+        "import os, signal, sys\n"
+        "from chordmodel import cli\n"
+        "real = cli.transition_classes\n"
+        "calls = []\n"
+        "def kill_on_second_piece(ids, alphabet):\n"
+        "    calls.append(len(ids))\n"
+        "    if len(calls) == 2:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return real(ids, alphabet)\n"
+        "cli.transition_classes = kill_on_second_piece\n"
+        "cli.main(sys.argv[1:])\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *cached("features", str(corpus_file),
+                                             "-o", str(out))],
+        env=env, capture_output=True, timeout=600,
+    )
+    assert proc.returncode == -signal.SIGKILL
+    assert out.read_bytes() == b"previous\n"
+    # the killed run wrote into its temporary file, which nothing removed
+    assert len(list(tmp_path.glob("features.csv.*.tmp"))) == 1
 
 
 def test_features_bytes_independent_of_blas_threads(tmp_path):

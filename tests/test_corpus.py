@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordmodel.corpus import (
-    CollapsedCorpus,
+    CorpusFile,
     CorpusFormatError,
     Piece,
     collapse,
@@ -20,6 +20,7 @@ from chordmodel.corpus import (
     preprocess_corpus,
     write_corpus,
 )
+from chordmodel.model import _statistics
 
 from helpers import collapse_piece_reference, make_corpus
 
@@ -261,9 +262,12 @@ def test_collapse_conserves_counts(alphabet):
     assert cc.n_events == 4 + 2 + 3
     assert sum(cc.start.values()) == 3  # one context-free event per piece
     assert sum(cc.trans.values()) == cc.n_events - 3
-    # per-piece counts aggregate to the corpus-level dictionaries
-    assert cc.start == sum((Counter(p.start) for p in cc.pieces), Counter())
-    assert cc.trans == sum((Counter(p.trans) for p in cc.pieces), Counter())
+    # each piece's row sums to its event count, and the rows aggregate to
+    # the corpus-level dictionaries
+    pieces = cc.pieces
+    assert [p.n_events for p in pieces] == [4, 2, 3]
+    assert cc.start == sum((Counter(p.start) for p in pieces), Counter())
+    assert cc.trans == sum((Counter(p.trans) for p in pieces), Counter())
 
 
 def test_collapse_shares_transposed_transitions(alphabet):
@@ -282,19 +286,24 @@ def test_collapse_shares_transposed_transitions(alphabet):
 
 
 def test_corpus_aggregate_counts_repeated_pieces(alphabet):
-    """A piece listed k times counts k times, as in a bootstrap replicate."""
+    """A piece drawn k times counts k times, as in a bootstrap replicate."""
     cc = collapse(
         make_corpus([[(0, 4, 7), (0, 5, 9)], [(0,), (6,)], [(2,), (2, 6)]]),
         alphabet,
     )
-    pieces = (cc.pieces[0],) * 3 + (cc.pieces[2],)
-    resampled = CollapsedCorpus(pieces)
+    resampled = cc.resampled([3, 0, 1])
+    pieces = (cc.piece(0),) * 3 + (cc.piece(2),)
     assert resampled.n_events == 3 * 2 + 2
     assert resampled.start == sum((Counter(p.start) for p in pieces), Counter())
     assert resampled.trans == sum((Counter(p.trans) for p in pieces), Counter())
     assert sum(resampled.trans.values()) == 3 + 1
-    assert all(isinstance(v, int) for v in resampled.trans.values())
-    assert CollapsedCorpus(()).start == {} and CollapsedCorpus(()).trans == {}
+    assert all(type(v) is int for v in resampled.trans.values())
+    # piece 1's transition group, drawn 0 times, drops out
+    assert (cc.n_classes, resampled.n_classes) == (5, 4)
+    nothing = cc.resampled([0, 0, 0])
+    assert nothing.n_events == 0 and nothing.start == {} and nothing.trans == {}
+    empty = collapse(make_corpus([]), alphabet)
+    assert empty.piece_ids == () and empty.start == {} and empty.trans == {}
 
 
 def test_collapse_ratio_on_a_diatonic_cycle(alphabet):
@@ -338,10 +347,55 @@ chords_st = st.one_of(
 def test_collapse_equals_eventwise_reference(alphabet, pieces):
     corpus = make_corpus(pieces)
     cc = collapse(corpus, alphabet)
-    for got, piece in zip(cc.pieces, corpus.pieces, strict=True):
-        want = collapse_piece_reference(piece, alphabet)
-        assert got == want
-        # same keys in the same first-occurrence order, as Python ints
-        assert list(got.trans.items()) == list(want.trans.items())
+    assert cc.piece_ids == tuple(p.id for p in corpus.pieces)
+    start_total, trans_total = Counter(), Counter()
+    for i, piece in enumerate(corpus.pieces):
+        got = cc.piece(i)
+        start, trans = collapse_piece_reference(piece, alphabet)
+        start_total.update(start)
+        trans_total.update(trans)
+        assert got.piece_ids == (piece.id,)
+        assert got.n_events == len(piece.events)
+        # the same counts, keys in sorted order, as Python ints
+        assert list(got.start.items()) == sorted(start.items())
+        assert list(got.trans.items()) == sorted(trans.items())
         assert all(type(v) is int for key in got.trans for v in key)
         assert all(type(v) is int for v in got.start)
+        assert all(type(v) is int for v in (*got.start.values(), *got.trans.values()))
+    assert list(cc.start.items()) == sorted(start_total.items())
+    assert list(cc.trans.items()) == sorted(trans_total.items())
+    assert cc.n_events == sum(len(p.events) for p in corpus.pieces)
+
+
+def _same_statistics(space, got, want):
+    """_statistics of two corpora, compared in bytes."""
+    a, b = _statistics(space, got), _statistics(space, want)
+    assert a.n_chords == b.n_chords
+    for x, y in zip((a.counts, a.observed, *a.tables),
+                    (b.counts, b.observed, *b.tables), strict=True):
+        assert x.shape == y.shape and x.dtype == y.dtype
+        assert x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(pieces=st.lists(st.lists(chords_st, max_size=10), min_size=2, max_size=6),
+       data=st.data())
+def test_resampled_and_piece_statistics_equal_explicit_collapse(space, pieces, data):
+    """A replicate's and a piece's statistics equal, bit for bit, those of
+    collapsing the explicitly repeated pieces or the piece alone."""
+    corpus = make_corpus(pieces)
+    cc = collapse(corpus, space.alphabet)
+    n = len(pieces)
+    drawn = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    drawn[data.draw(st.integers(0, n - 1))] = 0
+    one_piece = [0] * n
+    one_piece[data.draw(st.integers(0, n - 1))] = n  # one piece takes every draw
+    for mult in (drawn, one_piece):
+        repeated = CorpusFile(
+            tuple(p for p, m in zip(corpus.pieces, mult) for _ in range(m)),
+            corpus.meta,
+        )
+        _same_statistics(space, cc.resampled(mult), collapse(repeated, space.alphabet))
+    for i, piece in enumerate(corpus.pieces):
+        alone = collapse(CorpusFile((piece,), corpus.meta), space.alphabet)
+        _same_statistics(space, cc.piece(i), alone)

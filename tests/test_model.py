@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chordmodel.corpus import CollapsedCorpus, collapse
+from chordmodel.corpus import collapse
 from chordmodel.importance import feature_importance
 from chordmodel.model import (
     GRADIENT_TOL,
@@ -243,7 +243,7 @@ def test_nested_masks_never_increase_cross_entropy(space, small_corpus):
 
 def test_fit_rejects_empty_corpus(space):
     with pytest.raises(ValueError, match="empty corpus"):
-        fit(CollapsedCorpus(()), space)
+        fit(collapse(make_corpus([]), space.alphabet), space)
 
 
 @pytest.mark.parametrize("ridge", [-1e-3, -100.0, math.inf, math.nan])
