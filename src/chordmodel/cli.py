@@ -260,7 +260,7 @@ def _write_features(fh, space: FeatureSpace, corpus: CorpusFile,
             ids[1:].tolist(),
             space.spectral_matrix[rows, rels].tolist(),
             spectral_z[rows, rels].tolist(),
-            space.vl_matrix[rows, rels].tolist(),
+            space.vl_matrix[rows, rels].astype(float).tolist(),
             vl_z[rows, rels].tolist(),
         ):
             if vl not in vl_text:

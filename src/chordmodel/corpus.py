@@ -338,10 +338,18 @@ def transition_classes(
     continuation transposed by the shift that maps the context onto its class
     representative, so a pair indexes the per-class feature tables directly.
     """
-    prev = ids[:-1]
-    rows = alphabet.rep_row[prev]
-    rels = alphabet.perm[-alphabet.shift_of[prev] % N_PITCH_CLASSES, ids[1:]]
-    return rows, rels
+    return alphabet.rep_row[ids[:-1]], relative_ids(ids[:-1], ids[1:], alphabet)
+
+
+def relative_ids(context_ids, continuation_ids, alphabet: ChordAlphabet) -> np.ndarray:
+    """Continuation ids transposed by the shift that maps each context onto
+    its class representative: their columns in the contexts' class rows.
+
+    Arguments broadcast, so one context with every chord id (or slice(None))
+    gives the order that maps a class row onto chord ids.
+    """
+    shifts = -alphabet.shift_of[context_ids] % N_PITCH_CLASSES
+    return alphabet.perm[shifts, continuation_ids]
 
 
 def collapse(

@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import replacing
+from .corpus import relative_ids
 from .pcset import (
     N_PITCH_CLASSES,
     ChordAlphabet,
@@ -262,8 +263,9 @@ class FeatureSpace:
 
     - spectral_matrix, vl_matrix: raw distances, shape (n_classes, 4095),
       row r = transition (class-r representative -> chord c). Distances for
-      an arbitrary context X are row rep_row[X] indexed through the
-      transposition permutation, see transition_rows.
+      an arbitrary transition are read at its (class row, relative id), see
+      corpus.transition_classes. vl_matrix is the pinned uint8 array (every
+      distance is a whole number of semitones); spectral_matrix is float64.
     - table: HarmonicityTable; stats: TransitionFeatureStats.
     - standardized: one table per feature. A context-free feature (chord
       size, harmonicity) is a column of shape (4095,); a sequential one
@@ -334,7 +336,7 @@ class FeatureSpace:
             with suppress(OSError, ValueError, EOFError), path.open("rb") as fh:
                 stored = np.lib.format.read_array(fh)
                 if pinned(stored):
-                    return stored.astype(float)
+                    return stored
         stored = np.asarray(voice_leading_matrix(al), dtype=np.uint8)
         if not pinned(stored):
             raise RuntimeError("voice-leading matrix does not match VL_MATRIX_SHA256")
@@ -342,28 +344,7 @@ class FeatureSpace:
             path.parent.mkdir(parents=True, exist_ok=True)
             with replacing(path) as (tmp,), open(tmp, "wb") as fh:
                 np.save(fh, stored)
-        return stored.astype(float)
-
-    def context_row_perm(self, context_id: int) -> tuple[int, np.ndarray]:
-        """Class row and continuation permutation for an arbitrary context.
-
-        Transition (X -> Y) has the same features as (X - t -> Y - t) where
-        t is the shift taking X to its class representative, so the feature
-        row of X is the representative's row indexed by the permutation that
-        transposes continuations down by t.
-        """
-        al = self.alphabet
-        shift = int(al.shift_of[context_id])
-        row = int(al.rep_row[context_id])
-        return row, al.perm[(-shift) % N_PITCH_CLASSES]
-
-    def transition_rows(self, context_id: int) -> np.ndarray:
-        """Standardized features of (context -> every chord), shape (4095, 4)."""
-        row, perm = self.context_row_perm(context_id)
-        return np.stack(
-            [t[perm] if t.ndim == 1 else t[row, perm] for t in self.standardized],
-            axis=1,
-        )
+        return stored
 
     def raw_transition_values(
         self, context_id: int | None, continuation_id: int
@@ -377,9 +358,10 @@ class FeatureSpace:
             out[2] = self.stats.mean[2]
             out[3] = self.stats.mean[3]
         else:
-            row, perm = self.context_row_perm(context_id)
-            out[2] = self.spectral_matrix[row, perm[continuation_id]]
-            out[3] = self.vl_matrix[row, perm[continuation_id]]
+            row = al.rep_row[context_id]
+            rel = relative_ids(context_id, continuation_id, al)
+            out[2] = self.spectral_matrix[row, rel]
+            out[3] = self.vl_matrix[row, rel]
         return out
 
 
@@ -391,9 +373,10 @@ def get_feature_space(
     literal_q: bool = False,
     cache_dir: str | Path | None = None,
 ) -> FeatureSpace:
-    """Process-wide memoized FeatureSpace (about 3 s to construct without a
-    cached voice-leading matrix, 0.1 s with one)."""
-    key = (params, literal_q)
+    """Process-wide memoized FeatureSpace, one per parameter set and resolved
+    cache_dir (about 3 s to construct without a cached voice-leading matrix,
+    0.1 s with one)."""
+    key = (params, literal_q, None if cache_dir is None else Path(cache_dir).resolve())
     if key not in _SPACES:
         _SPACES[key] = FeatureSpace(params, literal_q, cache_dir)
     return _SPACES[key]

@@ -19,6 +19,10 @@ come from one vectorised pass over those rows. Every sum over rows, groups
 or chords is a numpy reduction in a fixed order rather than a BLAS product,
 so results are bit-identical across reruns and across BLAS thread counts.
 
+Fitting and sampling share one kernel, _scores then _softmax on class-row
+tables; sampling reads a context's row in chord-id order through
+corpus.relative_ids, so it draws from exactly the conditional a fit evaluates.
+
 The cost is convex in the weights. Fitting finds its minimum (optionally
 ridge-penalized) by damped Newton from w = 0, the textbook fit of a
 maximum-entropy model; the reported cross entropy is the per-event data
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import CollapsedCorpus
+from .corpus import CollapsedCorpus, relative_ids
 from .features import FEATURE_NAMES, N_FEATURES, FeatureSpace
 from .pcset import PcSet, as_pcset
 
@@ -82,38 +86,6 @@ class EnergyModel:
         return np.where(self.feature_mask, self.weights, 0.0)
 
 
-def energy(ctx: PcSet | None, x: PcSet, model: EnergyModel) -> float:
-    """Negated weighted feature sum for one transition."""
-    space = model.space
-    al = space.alphabet
-    j = al.id_of(as_pcset(x))
-    if ctx is None:
-        features = space.start_features[j]
-    else:
-        features = space.transition_rows(al.id_of(as_pcset(ctx)))[j]
-    return -float(features @ model.effective_weights)
-
-
-def _score_rows(model: EnergyModel, ctx_id: int | None) -> np.ndarray:
-    """Negated energies (feature scores) for all continuations of a context."""
-    space = model.space
-    if ctx_id is None:
-        rows = space.start_features
-    else:
-        rows = space.transition_rows(ctx_id)
-    return rows @ model.effective_weights
-
-
-def conditional_distribution(ctx: PcSet | None, model: EnergyModel) -> np.ndarray:
-    """Softmax of negated energies over the alphabet, in chord-id order."""
-    scores = _score_rows(
-        model, None if ctx is None else model.space.alphabet.id_of(as_pcset(ctx))
-    )
-    shifted = scores - scores.max()
-    expd = np.exp(shifted)
-    return expd / expd.sum()
-
-
 @dataclass(frozen=True)
 class _RowStatistics:
     """Sufficient statistics of a corpus, one row per context.
@@ -132,6 +104,21 @@ class _RowStatistics:
     n_chords: int
 
 
+def _row_tables(space: FeatureSpace, classes, start: bool) -> tuple:
+    """Each feature's table over the start row (if start) and the class rows
+    given (an index array or a slice), in _RowStatistics's layout."""
+    tables = []
+    for k, table in enumerate(space.standardized):
+        if table.ndim == 1:
+            tables.append(table[None])
+        elif start:
+            tables.append(np.concatenate([space.start_features[None, :, k],
+                                          table[classes]]))
+        else:
+            tables.append(table[classes])
+    return tuple(tables)
+
+
 def _statistics(space: FeatureSpace, corpus: CollapsedCorpus) -> _RowStatistics:
     (start_ids, start_counts), (rows, rels, counts) = corpus.group_counts
     classes, row_of = np.unique(rows, return_inverse=True)
@@ -140,19 +127,56 @@ def _statistics(space: FeatureSpace, corpus: CollapsedCorpus) -> _RowStatistics:
         row_counts = np.concatenate([[start_counts.sum()], row_counts])
 
     observed = np.einsum("i,ik->k", start_counts, space.start_features[start_ids])
-    tables = []
     for k, table in enumerate(space.standardized):
-        context_free = table.ndim == 1
         observed[k] += np.einsum(
-            "i,i->", counts, table[rels] if context_free else table[rows, rels])
-        if context_free:
-            tables.append(table[None])
-        elif len(start_ids):
-            tables.append(np.concatenate([space.start_features[None, :, k],
-                                          table[classes]]))
-        else:
-            tables.append(table[classes])
-    return _RowStatistics(row_counts, observed, tuple(tables), len(space.alphabet))
+            "i,i->", counts, table[rels] if table.ndim == 1 else table[rows, rels])
+    return _RowStatistics(row_counts, observed,
+                          _row_tables(space, classes, len(start_ids) > 0),
+                          len(space.alphabet))
+
+
+def _scores(tables, w: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Scores (negated energies) per row and chord: w[k] * tables[k] summed
+    over the active k in order, starting from a zero row."""
+    return sum((w[k] * tables[k] for k in active),
+               np.zeros((1, tables[0].shape[1])))
+
+
+def _softmax(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row maxima (as a column), the row sums z of exp(scores - max), and
+    the row probabilities."""
+    top = scores.max(axis=1, keepdims=True)
+    expd = np.exp(scores - top)
+    z = expd.sum(axis=1)
+    return top, z, expd / z[:, None]
+
+
+def _context_scores(model: EnergyModel, ctx: PcSet | None):
+    """The kernel's score row for ctx's class (None: the start context),
+    shape (1, n_chords), and the index (relative ids, or a slice) that reads
+    that row in chord-id order."""
+    al = model.space.alphabet
+    if ctx is None:
+        tables, order = _row_tables(model.space, [], True), slice(None)
+    else:
+        ctx_id = al.id_of(as_pcset(ctx))
+        row = al.rep_row[ctx_id]
+        tables = _row_tables(model.space, slice(row, row + 1), False)
+        order = relative_ids(ctx_id, slice(None), al)
+    return _scores(tables, model.effective_weights,
+                   np.flatnonzero(model.feature_mask)), order
+
+
+def energy(ctx: PcSet | None, x: PcSet, model: EnergyModel) -> float:
+    """Negated weighted feature sum for one transition."""
+    scores, order = _context_scores(model, ctx)
+    return -float(scores[0, order][model.space.alphabet.id_of(as_pcset(x))])
+
+
+def conditional_distribution(ctx: PcSet | None, model: EnergyModel) -> np.ndarray:
+    """Softmax of negated energies over the alphabet, in chord-id order."""
+    scores, order = _context_scores(model, ctx)
+    return _softmax(scores)[2][0, order]
 
 
 def _evaluate(
@@ -166,12 +190,7 @@ def _evaluate(
     result do not depend on the BLAS thread count.
     """
     tables = [stats.tables[k] for k in active]
-    scores = sum((w[k] * t for k, t in zip(active, tables)),
-                 np.zeros((1, stats.n_chords)))
-    top = scores.max(axis=1, keepdims=True)
-    expd = np.exp(scores - top)
-    z = expd.sum(axis=1)
-    probs = expd / z[:, None]
+    top, z, probs = _softmax(_scores(stats.tables, w, active))
     counts = stats.counts if len(probs) > 1 else stats.counts.sum(keepdims=True)
     w_active = w[active]
     data_cost = float(np.sum(counts * (top[:, 0] + np.log(z)))) - float(
@@ -351,12 +370,8 @@ def sample_sequence(
         raise ValueError("sequence length must be at least 1")
     al = model.space.alphabet
     chords: list[PcSet] = []
-    ctx_id: int | None = None
+    ctx: PcSet | None = None
     for _ in range(length):
-        scores = _score_rows(model, ctx_id)
-        shifted = scores - scores.max()
-        probs = np.exp(shifted)
-        probs /= probs.sum()
-        ctx_id = int(rng.choice(len(al), p=probs))
-        chords.append(al[ctx_id])
+        ctx = al[int(rng.choice(len(al), p=conditional_distribution(ctx, model)))]
+        chords.append(ctx)
     return tuple(chords)

@@ -297,6 +297,36 @@ def harmonicity_oracle(x, params: SpectrumParams = SpectrumParams()) -> float:
 # model oracle
 
 
+def absolute_rows(space, context_id: int | None) -> np.ndarray:
+    """Standardized features of (context -> every chord) in chord-id order,
+    shape (4095, 4): the context's class row of each table, gathered through
+    the permutation that transposes every continuation down by the
+    context's shift. None is the start context."""
+    if context_id is None:
+        return space.start_features
+    al = space.alphabet
+    row = al.rep_row[context_id]
+    perm = al.perm[(-al.shift_of[context_id]) % N_PITCH_CLASSES]
+    return np.stack(
+        [t[perm] if t.ndim == 1 else t[row, perm] for t in space.standardized],
+        axis=1,
+    )
+
+
+def reference_sample_sequence(model, length: int, rng) -> tuple:
+    """Ancestral sampling from absolute rows scored by a matrix-vector product,
+    one softmax per chord; the same draws from rng as sample_sequence."""
+    al = model.space.alphabet
+    chords, ctx_id = [], None
+    for _ in range(length):
+        scores = absolute_rows(model.space, ctx_id) @ model.effective_weights
+        probs = np.exp(scores - scores.max())
+        probs /= probs.sum()
+        ctx_id = int(rng.choice(len(al), p=probs))
+        chords.append(al[ctx_id])
+    return tuple(chords)
+
+
 def naive_cost_gradient(corpus: CorpusFile, space, weights):
     """Event-by-event cost and gradient with no transposition grouping."""
     weights = np.asarray(weights, dtype=float)
@@ -307,10 +337,7 @@ def naive_cost_gradient(corpus: CorpusFile, space, weights):
         prev = None
         for chord in piece.chords:
             cid = al.id_of(chord)
-            if prev is None:
-                feats = space.start_features
-            else:
-                feats = space.transition_rows(al.id_of(prev))
+            feats = absolute_rows(space, None if prev is None else al.id_of(prev))
             scores = feats @ weights
             mx = scores.max()
             expd = np.exp(scores - mx)

@@ -145,7 +145,8 @@ def test_failed_importance_write_replaces_no_file(runner, corpus_file,
 
 def test_killed_features_run_leaves_previous_file(corpus_file, tmp_path):
     """A child killed (SIGKILL) after writing the first piece's rows of
-    features -o leaves the previous file under the final name."""
+    features -o leaves the previous file under the final name, and its
+    temporary file until the next features -o."""
     out = tmp_path / "features.csv"
     out.write_bytes(b"previous\n")
     code = (
@@ -171,8 +172,10 @@ def test_killed_features_run_leaves_previous_file(corpus_file, tmp_path):
     )
     assert proc.returncode == -signal.SIGKILL
     assert out.read_bytes() == b"previous\n"
-    # the killed run wrote into its temporary file, which nothing removed
+    # the killed run wrote into its temporary file; the next write removes it
     assert len(list(tmp_path.glob("features.csv.*.tmp"))) == 1
+    assert run(CliRunner(), *cached("features", corpus_file, "-o", out)).exit_code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt", "features.csv"]
 
 
 def test_features_bytes_independent_of_blas_threads(tmp_path):

@@ -31,7 +31,7 @@ from chordmodel.pcset import enumerate_alphabet
 from chordmodel.spectrum import SpectrumParams, pcset_spectrum, spectral_distance
 from chordmodel.voiceleading import VL_MATRIX_SHA256, voice_leading_distance
 
-from helpers import harmonicity_oracle
+from helpers import absolute_rows, harmonicity_oracle
 
 pcsets = st.sets(st.integers(0, 11), min_size=1).map(lambda s: tuple(sorted(s)))
 
@@ -221,15 +221,12 @@ def test_feature_space_tables(space):
     for _ in range(25):
         i, j = (int(v) for v in rng.integers(0, len(al), 2))
         slow = transition_features(al[i], al[j], space.stats, space.table, al)
-        fast = space.transition_rows(i)[j]
+        fast = absolute_rows(space, i)[j]
         assert np.allclose(fast, slow.as_array(), atol=1e-9)
     # the gathered rows are the standardized raw values, bit for bit
     for i in (0, 1000, 4094):
-        row, perm = space.context_row_perm(i)
-        raw = np.stack([al.sizes[perm].astype(float), space.table.normalized[perm],
-                        space.spectral_matrix[row, perm], space.vl_matrix[row, perm]],
-                       axis=1)
-        assert np.array_equal(space.transition_rows(i), space.stats.standardize(raw))
+        raw = np.stack([space.raw_transition_values(i, j) for j in range(len(al))])
+        assert np.array_equal(absolute_rows(space, i), space.stats.standardize(raw))
     # start rows standardize the context-free features only
     for j in (0, 77, 4000):
         slow = transition_features(None, al[j], space.stats, space.table, al)
@@ -242,8 +239,10 @@ def test_feature_space_tables(space):
 )
 def test_unreadable_voice_leading_cache_is_rebuilt(space, tmp_path, monkeypatch, damage):
     path = tmp_path / f"voiceleading-{space.alphabet.ordering_hash()}.npy"
-    stored = space.vl_matrix.astype(np.uint8)
-    np.save(path, {"wrong_shape": stored[:-1], "float64": space.vl_matrix}.get(damage, stored))
+    stored = space.vl_matrix
+    assert stored.dtype == np.uint8
+    np.save(path, {"wrong_shape": stored[:-1],
+                   "float64": stored.astype(np.float64)}.get(damage, stored))
     data = path.read_bytes()
     archive = io.BytesIO()
     np.savez(archive, stored)
@@ -264,7 +263,7 @@ def test_unreadable_voice_leading_cache_is_rebuilt(space, tmp_path, monkeypatch,
     rebuilt = FeatureSpace(cache_dir=tmp_path)
     assert len(builds) == 1
     assert np.array_equal(rebuilt.vl_matrix, space.vl_matrix)
-    assert rebuilt.vl_matrix.dtype == np.float64
+    assert rebuilt.vl_matrix.dtype == np.uint8
     assert np.load(path).dtype == np.uint8
     assert np.array_equal(np.load(path), space.vl_matrix)
     assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file left
@@ -272,7 +271,7 @@ def test_unreadable_voice_leading_cache_is_rebuilt(space, tmp_path, monkeypatch,
 
 def test_voice_leading_cache_ignores_a_stale_key(space, tmp_path, monkeypatch):
     stale = tmp_path / "voiceleading-0000000000000000.npy"
-    np.save(stale, space.vl_matrix.astype(np.uint8))
+    np.save(stale, space.vl_matrix)
     data = stale.read_bytes()
     builds = []
     monkeypatch.setattr(
@@ -286,9 +285,22 @@ def test_voice_leading_cache_ignores_a_stale_key(space, tmp_path, monkeypatch):
     assert sorted(tmp_path.iterdir()) == sorted([stale, path])
 
 
+def test_feature_space_memo_is_per_cache_dir(space, tmp_path, monkeypatch):
+    """A second cache directory gets its own space and its own cache file."""
+    monkeypatch.setattr(features, "_SPACES", {})
+    monkeypatch.setattr(features, "voice_leading_matrix",
+                        lambda alphabet: space.vl_matrix)
+    name = f"voiceleading-{space.alphabet.ordering_hash()}.npy"
+    first = features.get_feature_space(cache_dir=tmp_path / "a")
+    second = features.get_feature_space(cache_dir=tmp_path / "b")
+    assert first is not second
+    assert (tmp_path / "a" / name).exists() and (tmp_path / "b" / name).exists()
+    assert features.get_feature_space(cache_dir=tmp_path / "a" / ".." / "a") is first
+
+
 def test_voice_leading_build_off_the_pinned_digest_raises(space, tmp_path, monkeypatch):
     wrong = space.vl_matrix.copy()
-    wrong[0, 0] += 1.0
+    wrong[0, 0] += 1
     monkeypatch.setattr(features, "voice_leading_matrix", lambda alphabet: wrong)
     with pytest.raises(RuntimeError, match="VL_MATRIX_SHA256"):
         FeatureSpace(cache_dir=tmp_path)
@@ -304,7 +316,8 @@ def test_concurrent_voice_leading_cache_writers(tmp_path):
         "import hashlib, sys, numpy as np\n"
         "from chordmodel.features import FeatureSpace\n"
         "vl = FeatureSpace(cache_dir=sys.argv[1]).vl_matrix\n"
-        "print(hashlib.sha256(vl.astype(np.uint8).tobytes()).hexdigest())\n"
+        "assert vl.dtype == np.uint8\n"
+        "print(hashlib.sha256(vl.tobytes()).hexdigest())\n"
     )
     procs = [
         subprocess.Popen([sys.executable, "-c", child, str(tmp_path)], env=env,
@@ -333,8 +346,8 @@ def test_transposition_invariance_of_feature_rows(space):
         # symmetric contexts may resolve to a different (equivalent) column,
         # so compare at the numeric guarantee rather than bit-for-bit
         assert np.allclose(
-            space.transition_rows(i)[j],
-            space.transition_rows(it)[jt],
+            absolute_rows(space, i)[j],
+            absolute_rows(space, it)[jt],
             atol=1e-9,
             rtol=0.0,
         )

@@ -10,12 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chordmodel.corpus import collapse
+from chordmodel.corpus import collapse, relative_ids
 from chordmodel.importance import feature_importance
 from chordmodel.model import (
     GRADIENT_TOL,
     EnergyModel,
     _corpus_terms,
+    _scores,
+    _softmax,
+    _statistics,
     conditional_distribution,
     corpus_cost,
     corpus_gradient,
@@ -25,13 +28,16 @@ from chordmodel.model import (
     mask_from_names,
     sample_sequence,
 )
+from chordmodel.pcset import enumerate_alphabet
 
 from helpers import (
+    absolute_rows,
     bfgs_reference_fit,
     collapsed,
     diatonic_corpus,
     make_corpus,
     naive_cost_gradient,
+    reference_sample_sequence,
     sampled_corpus,
 )
 
@@ -261,6 +267,60 @@ def test_warm_start_changes_path_not_optimum(space, small_corpus):
     assert warm.converged
     assert warm.iterations <= cold.iterations
     assert abs(warm.cross_entropy - cold.cross_entropy) < 1e-9
+
+
+# masks with no, one and every feature active, and some in between
+MASKS = [np.array([m >> k & 1 for k in range(4)], dtype=bool)
+         for m in (0, 1, 2, 4, 8, 15, 5, 12)]
+# transposition-symmetric contexts: tritone, augmented triad, diminished
+# seventh, whole-tone scale and the full chromatic set
+SYMMETRIC = [(0, 6), (0, 4, 8), (0, 3, 6, 9), (0, 2, 4, 6, 8, 10), tuple(range(12))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    weights=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+    mask=st.sampled_from(MASKS),
+    ctx=st.one_of(st.none(), st.sampled_from(SYMMETRIC),
+                  st.integers(0, 4094).map(lambda i: enumerate_alphabet()[i])),
+)
+def test_conditional_is_the_fit_kernels_row(space, weights, mask, ctx):
+    """conditional_distribution(ctx) is, bit for bit, the softmax row that
+    the fit evaluates for ctx's class, read in chord-id order."""
+    al = space.alphabet
+    model = EnergyModel(space, weights=np.array(weights), feature_mask=mask)
+    p = conditional_distribution(ctx, model)
+    # a corpus with ctx as a context among others, so the kernel sees several rows
+    chords = [(0, 4, 7), (2, 5, 9), (7, 11, 2, 5)] + ([] if ctx is None else [ctx, (1,)])
+    cc = collapse(make_corpus([chords, [(3, 7, 10), (0,)]]), al)
+    stats = _statistics(space, cc)
+    probs = _softmax(_scores(stats.tables, model.effective_weights,
+                             np.flatnonzero(mask)))[2]
+    if ctx is None:
+        row, order = 0, np.arange(len(al))
+    else:
+        ctx_id = al.id_of(ctx)
+        classes = np.unique(cc.group_counts[1][0])  # rows after the start row
+        row = 1 + int(np.searchsorted(classes, al.rep_row[ctx_id]))
+        order = relative_ids(ctx_id, np.arange(len(al)), al)
+    relative = np.empty_like(p)
+    relative[order] = p
+    assert np.array_equal(relative, probs[row if len(probs) > 1 else 0])
+    # and it is the softmax of the naive absolute rows, to rounding
+    scores = absolute_rows(space, None if ctx is None else al.id_of(ctx)) \
+        @ model.effective_weights
+    naive = np.exp(scores - scores.max())
+    assert np.allclose(p, naive / naive.sum(), rtol=1e-12, atol=0.0)
+
+
+def test_sampler_draws_as_the_naive_reference(space):
+    """The kernel's sampler and absolute rows @ w draw the same chords."""
+    for weights in ([0.0] * 4, [0.5, 1.0, -1.0, -0.5], [3.0, -3.0, 3.0, -3.0],
+                    [-0.3, 2.0, -1.5, -2.5]):
+        model = EnergyModel(space, weights=np.array(weights))
+        for seed in range(10):
+            assert sample_sequence(model, 60, np.random.default_rng(seed)) == \
+                reference_sample_sequence(model, 60, np.random.default_rng(seed))
 
 
 def test_sample_sequence_is_deterministic_per_seed(space):
