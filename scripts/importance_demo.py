@@ -47,7 +47,7 @@ def build_corpus(space, pieces_per_regime, length, seed) -> CorpusFile:
                     ),
                 )
             )
-    return CorpusFile(pieces=tuple(pieces), meta=None)
+    return CorpusFile(pieces=tuple(pieces))
 
 
 def main() -> None:

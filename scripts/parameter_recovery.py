@@ -39,7 +39,7 @@ def sample_corpus(space, weights, n_pieces, length, seed) -> CorpusFile:
         )
         for i in range(n_pieces)
     )
-    return CorpusFile(pieces=pieces, meta=None)
+    return CorpusFile(pieces=pieces)
 
 
 def main() -> None:

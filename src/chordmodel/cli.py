@@ -34,7 +34,6 @@ from .atomic import replacing
 from .corpus import (
     CorpusFile,
     CorpusFormatError,
-    CorpusMeta,
     Piece,
     collapse,
     load_label_map,
@@ -503,9 +502,6 @@ def cmd_sample(weights_path, output, n_pieces, length, seed, corpus_format,
                rho, sigma, harmonics, bins, q_literal, cache_dir) -> None:
     """Sample a synthetic corpus from a weights JSON file."""
     weights = _weights_from_file(weights_path)
-    config = RunConfig(rho=rho, sigma=sigma, harmonics=harmonics, bins=bins,
-                       q_literal=q_literal, seed=seed,
-                       corpus_format=corpus_format)
     space = _build_space(rho, sigma, harmonics, bins, q_literal, cache_dir)
     model = EnergyModel(space, weights=weights)
     rng = np.random.default_rng(seed)
@@ -517,9 +513,7 @@ def cmd_sample(weights_path, output, n_pieces, length, seed, corpus_format,
         )
         for i in range(n_pieces)
     )
-    meta = CorpusMeta(name=Path(output).stem, source="sampled",
-                      config_hash=config.hash())
-    write_corpus(CorpusFile(pieces=pieces, meta=meta), output, corpus_format)
+    write_corpus(CorpusFile(pieces=pieces), output, corpus_format)
     click.echo(f"wrote {n_pieces} piece(s) of {length} chords to {output}")
 
 

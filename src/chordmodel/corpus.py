@@ -28,7 +28,6 @@ one count matrix, with a row per piece and a column per group.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -60,20 +59,8 @@ class Piece:
 
 
 @dataclass(frozen=True)
-class CorpusMeta:
-    name: str
-    source: str
-    config_hash: str
-
-
-@dataclass(frozen=True)
 class CorpusFile:
     pieces: tuple[Piece, ...]
-    meta: CorpusMeta
-
-
-def _config_hash(fmt: str) -> str:
-    return hashlib.sha256(f"format={fmt}".encode("ascii")).hexdigest()[:16]
 
 
 def _validated_chord(values, where: str) -> PcSet:
@@ -215,8 +202,7 @@ def parse_corpus(
             pieces.append(piece)
     if not pieces:
         raise CorpusFormatError(f"{path.name}: corpus contains no pieces")
-    meta = CorpusMeta(name=path.stem, source=path.name, config_hash=_config_hash(fmt))
-    return CorpusFile(pieces=tuple(pieces), meta=meta)
+    return CorpusFile(pieces=tuple(pieces))
 
 
 def write_corpus(corpus: CorpusFile, path: str | Path, fmt: str = "jsonl") -> None:
@@ -259,9 +245,7 @@ def preprocess(piece: Piece) -> Piece:
 
 
 def preprocess_corpus(corpus: CorpusFile) -> CorpusFile:
-    return CorpusFile(
-        pieces=tuple(preprocess(p) for p in corpus.pieces), meta=corpus.meta
-    )
+    return CorpusFile(pieces=tuple(preprocess(p) for p in corpus.pieces))
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,11 +253,12 @@ class CollapsedCorpus:
     """Event counts as a CSR integer matrix: row i is piece i, with counts
     data[indptr[i]:indptr[i + 1]] in the columns indices[indptr[i]:indptr[i + 1]].
 
-    Columns are the collapsed groups in sorted code order. A start group, the
-    class representative id of a piece's first chord, is coded by itself; a
-    transition group (row, rel) (see transition_classes) by
-    (row + 1) * CODE_BASE + rel. start and trans are the nonzero column
-    totals as read-only dicts, keys sorted.
+    Columns are the collapsed groups in sorted code order. A transition group
+    (row, rel) (see transition_classes) is coded (row + 1) * CODE_BASE + rel,
+    and a start group, the class representative id of a piece's first chord,
+    by itself: the code of (row -1, that id), the start context's row in
+    every feature table. So start groups come first. start and trans are the
+    nonzero column totals as read-only dicts, keys sorted.
     """
 
     CODE_BASE = 2**N_PITCH_CLASSES  # above every chord id
@@ -288,31 +273,36 @@ class CollapsedCorpus:
         return int(self.data.sum())
 
     @cached_property
-    def group_counts(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """(start ids, counts) and (context rows, relative ids, counts) of the
-        groups with a nonzero column total, in code order, counts as floats."""
+    def group_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Context rows, relative ids and counts of the groups with a nonzero
+        column total, in code order, counts as floats; start groups carry
+        row -1 and come first."""
         # float sums of integer counts are exact below 2**53
         totals = np.bincount(self.indices, self.data, len(self.codes))
         codes, totals = self.codes[totals > 0], totals[totals > 0]
-        n_start = np.searchsorted(codes, self.CODE_BASE)
-        rows, rels = np.divmod(codes[n_start:], self.CODE_BASE)
-        return (codes[:n_start], totals[:n_start]), (rows - 1, rels, totals[n_start:])
+        rows, rels = np.divmod(codes, self.CODE_BASE)
+        return rows - 1, rels, totals
+
+    @property
+    def n_start(self) -> int:
+        """Number of start groups, the first n_start of group_counts."""
+        return int(np.searchsorted(self.group_counts[0], 0))
 
     @cached_property
     def start(self) -> MappingProxyType:
-        ids, counts = self.group_counts[0]
+        _, ids, counts = (a[:self.n_start] for a in self.group_counts)
         return MappingProxyType(dict(zip(ids.tolist(), counts.astype(int).tolist())))
 
     @cached_property
     def trans(self) -> MappingProxyType:
-        rows, rels, counts = self.group_counts[1]
+        rows, rels, counts = (a[self.n_start:] for a in self.group_counts)
         return MappingProxyType(dict(zip(zip(rows.tolist(), rels.tolist()),
                                          counts.astype(int).tolist())))
 
     @property
     def n_classes(self) -> int:
         """Distinct collapsed groups; the collapse ratio is n_events over this."""
-        return len(self.start) + len(self.trans)
+        return len(self.group_counts[2])
 
     def piece(self, i: int) -> CollapsedCorpus:
         """Piece i alone: row i of the matrix."""

@@ -270,9 +270,10 @@ class FeatureSpace:
     - standardized: one table per feature. A context-free feature (chord
       size, harmonicity) is a column of shape (4095,); a sequential one
       (spectral and voice-leading distance) is a matrix of shape
-      (n_classes, 4095) laid out like the raw distances.
-    - start_features: standardized features of context-free events,
-      shape (4095, 4); sequential components are exactly 0.
+      (n_classes + 1, 4095): the class rows laid out like the raw distances,
+      then one row of exact zeros for the start context, which imputes the
+      population mean. A start event with chord j thus reads row -1 at
+      column j, the same (row, id) gather as any transition.
     """
 
     def __init__(
@@ -309,13 +310,17 @@ class FeatureSpace:
         )
 
         mean, sd = self.stats.mean, self.stats.sd
-        raw = (al.sizes.astype(float), self.table.normalized,
-               self.spectral_matrix, self.vl_matrix)
-        self.standardized = tuple((r - m) / s for r, m, s in zip(raw, mean, sd))
-        self.start_features = np.stack(
-            [t if t.ndim == 1 else np.zeros(len(al)) for t in self.standardized],
-            axis=1,
-        )
+        standardized = [(al.sizes.astype(float) - mean[0]) / sd[0],
+                        (self.table.normalized - mean[1]) / sd[1]]
+        for k, raw in enumerate((self.spectral_matrix, self.vl_matrix), start=2):
+            # (raw - mean) / sd bit for bit, written in place so that no
+            # table-sized temporary grows the heap; the last row (the start
+            # context, row -1) stays 0
+            table = np.zeros((al.n_classes + 1, len(al)))
+            np.subtract(raw, mean[k], out=table[:-1])
+            np.divide(table[:-1], sd[k], out=table[:-1])
+            standardized.append(table)
+        self.standardized = tuple(standardized)
         self.feature_names = FEATURE_NAMES
 
     @property

@@ -11,9 +11,13 @@ log-likelihood, nats) only through sufficient statistics: the number of
 events n_r in each context row (the start context and one row per collapsed
 transposition class, at most 352 rows however large the corpus is) and the
 observed feature sums Phi, together with the per-row feature tables they
-are taken against. The counts are the nonzero column totals of the corpus's
-count matrix. Every sub-model of an importance nest is fitted from the same
-statistics object with its own feature mask. Cost, gradient (expected minus
+are taken against. The start context is row -1 of every sequential feature
+table, a row of zeros after the class rows, so the start and the classes are
+read alike: a group's values are one (row, relative id) gather, and a row
+table is one gather of table rows in which the start row sorts first. The
+counts are the nonzero column totals of the corpus's count matrix. Every
+sub-model of an importance nest is fitted from the same statistics object
+with its own feature mask. Cost, gradient (expected minus
 observed feature sums) and Hessian (count-weighted feature covariances)
 come from one vectorised pass over those rows. Every sum over rows, groups
 or chords is a numpy reduction in a fixed order rather than a BLAS product,
@@ -90,12 +94,14 @@ class EnergyModel:
 class _RowStatistics:
     """Sufficient statistics of a corpus, one row per context.
 
-    Row 0 is the start context when any piece has a first event; the other
-    rows are the context classes in sorted order. counts[r] is the number of
-    events in row r and observed the feature sums over all events (Phi).
-    tables[k] holds feature k's standardized values per row, shape
-    (n_rows, n_chords); a context-free feature has the same values in every
-    row and keeps one (1, n_chords) row, which broadcasts against the rest.
+    Rows are the contexts with events in sorted table-row order: the start
+    context (table row -1) first when any piece has a first event, then the
+    context classes. counts[r] is the number of events in row r and observed
+    the feature sums over all events (Phi). tables[k] holds feature k's
+    standardized values per row, shape (n_rows, n_chords), one gather of the
+    feature space's table; a context-free feature has the same values in
+    every row and keeps one (1, n_chords) row, which broadcasts against the
+    rest.
     """
 
     counts: np.ndarray
@@ -104,34 +110,29 @@ class _RowStatistics:
     n_chords: int
 
 
-def _row_tables(space: FeatureSpace, classes, start: bool) -> tuple:
-    """Each feature's table over the start row (if start) and the class rows
-    given (an index array or a slice), in _RowStatistics's layout."""
-    tables = []
-    for k, table in enumerate(space.standardized):
-        if table.ndim == 1:
-            tables.append(table[None])
-        elif start:
-            tables.append(np.concatenate([space.start_features[None, :, k],
-                                          table[classes]]))
-        else:
-            tables.append(table[classes])
-    return tuple(tables)
+def _row_tables(space: FeatureSpace, rows) -> tuple:
+    """Each feature's table over the given table rows (an index array, or
+    (row, None) for one row as a view; row -1 is the start context), in
+    _RowStatistics's layout."""
+    return tuple(t[None] if t.ndim == 1 else t[rows] for t in space.standardized)
 
 
 def _statistics(space: FeatureSpace, corpus: CollapsedCorpus) -> _RowStatistics:
-    (start_ids, start_counts), (rows, rels, counts) = corpus.group_counts
+    rows, rels, counts = corpus.group_counts
     classes, row_of = np.unique(rows, return_inverse=True)
     row_counts = np.bincount(row_of, weights=counts, minlength=len(classes))
-    if len(start_ids):
-        row_counts = np.concatenate([[start_counts.sum()], row_counts])
 
-    observed = np.einsum("i,ik->k", start_counts, space.start_features[start_ids])
+    def values(t, part):
+        return t[rels[part]] if t.ndim == 1 else t[rows[part], rels[part]]
+
+    # the start groups' sums are one reduction over their (n_start, n_features)
+    # block, apart from each feature's reduction over the transition groups
+    start, trans = slice(corpus.n_start), slice(corpus.n_start, None)
+    observed = np.einsum("i,ik->k", counts[start], np.stack(
+        [values(t, start) for t in space.standardized], axis=1))
     for k, table in enumerate(space.standardized):
-        observed[k] += np.einsum(
-            "i,i->", counts, table[rels] if table.ndim == 1 else table[rows, rels])
-    return _RowStatistics(row_counts, observed,
-                          _row_tables(space, classes, len(start_ids) > 0),
+        observed[k] += np.einsum("i,i->", counts[trans], values(table, trans))
+    return _RowStatistics(row_counts, observed, _row_tables(space, classes),
                           len(space.alphabet))
 
 
@@ -156,13 +157,11 @@ def _context_scores(model: EnergyModel, ctx: PcSet | None):
     shape (1, n_chords), and the index (relative ids, or a slice) that reads
     that row in chord-id order."""
     al = model.space.alphabet
-    if ctx is None:
-        tables, order = _row_tables(model.space, [], True), slice(None)
-    else:
+    row, order = -1, slice(None)
+    if ctx is not None:
         ctx_id = al.id_of(as_pcset(ctx))
-        row = al.rep_row[ctx_id]
-        tables = _row_tables(model.space, slice(row, row + 1), False)
-        order = relative_ids(ctx_id, slice(None), al)
+        row, order = al.rep_row[ctx_id], relative_ids(ctx_id, slice(None), al)
+    tables = _row_tables(model.space, (row, None))
     return _scores(tables, model.effective_weights,
                    np.flatnonzero(model.feature_mask)), order
 

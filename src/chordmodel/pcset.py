@@ -64,7 +64,11 @@ def pcset_to_mask(x: PcSet) -> int:
 
 
 def parse_pcset(text: str) -> PcSet:
-    """Parse the chord text syntax "0,4,7" used by corpus files and the CLI."""
+    """Parse chord text such as "0,4,7", rejecting a repeated pitch class.
+
+    Stricter than the corpus parser, which does not call it: a plain token
+    "0,0,4" or a jsonl chord [0, 0, 4] is read there as the set {0, 4}.
+    """
     parts = [p.strip() for p in text.split(",")]
     if any(not p for p in parts):
         raise ValueError(f"malformed chord token {text!r}")

@@ -32,6 +32,7 @@ from chordmodel.corpus import (
 from chordmodel.features import FEATURE_NAMES
 from chordmodel.model import (
     EnergyModel,
+    _RowStatistics,
     corpus_cost,
     corpus_gradient,
     sample_sequence,
@@ -60,7 +61,7 @@ def make_corpus(pieces_chords, ids=None) -> CorpusFile:
         )
         for k, chords in enumerate(pieces_chords)
     )
-    return CorpusFile(pieces=pieces, meta=None)
+    return CorpusFile(pieces=pieces)
 
 
 def sampled_corpus(space, weights, n_pieces, length, seed) -> CorpusFile:
@@ -299,18 +300,52 @@ def harmonicity_oracle(x, params: SpectrumParams = SpectrumParams()) -> float:
 
 def absolute_rows(space, context_id: int | None) -> np.ndarray:
     """Standardized features of (context -> every chord) in chord-id order,
-    shape (4095, 4): the context's class row of each table, gathered through
-    the permutation that transposes every continuation down by the
-    context's shift. None is the start context."""
-    if context_id is None:
-        return space.start_features
+    shape (4095, 4): the context's row of each table, gathered through the
+    permutation that transposes every continuation down by the context's
+    shift. None is the start context, table row -1 with no shift."""
     al = space.alphabet
-    row = al.rep_row[context_id]
-    perm = al.perm[(-al.shift_of[context_id]) % N_PITCH_CLASSES]
+    row, shift = ((-1, 0) if context_id is None
+                  else (al.rep_row[context_id], al.shift_of[context_id]))
+    perm = al.perm[-shift % N_PITCH_CLASSES]
     return np.stack(
         [t[perm] if t.ndim == 1 else t[row, perm] for t in space.standardized],
         axis=1,
     )
+
+
+def statistics_reference(space, corpus) -> _RowStatistics:
+    """model._statistics with the start context kept apart from the class
+    rows: start groups split off by their codes, a (4095, n_features) table
+    of start features, and a start row concatenated onto each sequential
+    table's class rows."""
+    totals = np.bincount(corpus.indices, corpus.data, len(corpus.codes))
+    codes, totals = corpus.codes[totals > 0], totals[totals > 0]
+    n_start = np.searchsorted(codes, corpus.CODE_BASE)
+    start_ids, start_counts = codes[:n_start], totals[:n_start]
+    rows, rels = np.divmod(codes[n_start:], corpus.CODE_BASE)
+    rows, counts = rows - 1, totals[n_start:]
+    n_chords = len(space.alphabet)
+    start_features = np.stack(
+        [t if t.ndim == 1 else np.zeros(n_chords) for t in space.standardized],
+        axis=1,
+    )
+
+    classes, row_of = np.unique(rows, return_inverse=True)
+    row_counts = np.bincount(row_of, weights=counts, minlength=len(classes))
+    if len(start_ids):
+        row_counts = np.concatenate([[start_counts.sum()], row_counts])
+    observed = np.einsum("i,ik->k", start_counts, start_features[start_ids])
+    tables = []
+    for k, table in enumerate(space.standardized):
+        observed[k] += np.einsum(
+            "i,i->", counts, table[rels] if table.ndim == 1 else table[rows, rels])
+        if table.ndim == 1:
+            tables.append(table[None])
+        elif len(start_ids):
+            tables.append(np.concatenate([start_features[None, :, k], table[classes]]))
+        else:
+            tables.append(table[classes])
+    return _RowStatistics(row_counts, observed, tuple(tables), n_chords)
 
 
 def reference_sample_sequence(model, length: int, rng) -> tuple:
@@ -384,8 +419,5 @@ def duplicate_feature(space, index: int, name: str):
     """A FeatureSpace clone with feature `index` copied as an extra feature."""
     dup = copy.copy(space)
     dup.standardized = tuple(space.standardized) + (space.standardized[index],)
-    dup.start_features = np.concatenate(
-        [space.start_features, space.start_features[:, index : index + 1]], axis=1
-    )
     dup.feature_names = tuple(space.feature_names) + (name,)
     return dup

@@ -22,7 +22,7 @@ from chordmodel.corpus import (
 )
 from chordmodel.model import _statistics
 
-from helpers import collapse_piece_reference, make_corpus
+from helpers import collapse_piece_reference, make_corpus, statistics_reference
 
 
 def write_lines(path, lines):
@@ -202,10 +202,8 @@ def test_round_trip_both_formats(tmp_path):
         )
     # jsonl also preserves ids and bass
     piece = Piece(id="inv", events=(((0, 4, 7), 4), ((0, 5, 9), None)))
-    from chordmodel.corpus import CorpusFile
-
     path = tmp_path / "bass.jsonl"
-    write_corpus(CorpusFile(pieces=(piece,), meta=None), path, fmt="jsonl")
+    write_corpus(CorpusFile(pieces=(piece,)), path, fmt="jsonl")
     back = parse_corpus(path, fmt="jsonl")
     assert back.pieces[0] == piece
 
@@ -232,6 +230,23 @@ def test_label_map_ingestion(tmp_path):
         parse_corpus(src, fmt="plain", label_map=mapping)
     with pytest.raises(ValueError, match="plain format only"):
         parse_corpus(src, fmt="jsonl", label_map=mapping)
+
+
+def test_repeated_pitch_classes_collapse_in_every_format(tmp_path):
+    """A chord that names a pitch class twice is read as its set, in plain
+    tokens, jsonl chord lists and label maps alike (unlike parse_pcset,
+    which rejects a repeat)."""
+    plain = tmp_path / "c.txt"
+    write_lines(plain, ["0,0,4 7,7"])
+    jsonl = tmp_path / "c.jsonl"
+    write_lines(jsonl, ['{"id": "a", "chords": [[0, 0, 4], [7, 7]]}'])
+    lm = tmp_path / "labels.json"
+    lm.write_text(json.dumps({"I": [4, 0, 0], "V": [7, 7]}), encoding="utf-8")
+    labelled = tmp_path / "labelled.txt"
+    write_lines(labelled, ["I V"])
+    for corpus in (parse_corpus(plain, "plain"), parse_corpus(jsonl, "jsonl"),
+                   parse_corpus(labelled, "plain", load_label_map(lm))):
+        assert corpus.pieces[0].chords == ((0, 4), (7,))
 
 
 def test_label_map_errors(tmp_path):
@@ -327,7 +342,6 @@ def test_preprocess_corpus_applies_to_every_piece():
     corpus = make_corpus([[(0,), (0,), (1,)], [(5,), (5,)]])
     out = preprocess_corpus(corpus)
     assert tuple(p.chords for p in out.pieces) == (((0,), (1,)), ((5,),))
-    assert out.meta is corpus.meta
 
 
 # transposition-symmetric chords: a context with several shifts onto its
@@ -367,9 +381,8 @@ def test_collapse_equals_eventwise_reference(alphabet, pieces):
     assert cc.n_events == sum(len(p.events) for p in corpus.pieces)
 
 
-def _same_statistics(space, got, want):
-    """_statistics of two corpora, compared in bytes."""
-    a, b = _statistics(space, got), _statistics(space, want)
+def _same_statistics(a, b):
+    """Two _RowStatistics, compared in bytes."""
     assert a.n_chords == b.n_chords
     for x, y in zip((a.counts, a.observed, *a.tables),
                     (b.counts, b.observed, *b.tables), strict=True):
@@ -393,9 +406,22 @@ def test_resampled_and_piece_statistics_equal_explicit_collapse(space, pieces, d
     for mult in (drawn, one_piece):
         repeated = CorpusFile(
             tuple(p for p, m in zip(corpus.pieces, mult) for _ in range(m)),
-            corpus.meta,
         )
-        _same_statistics(space, cc.resampled(mult), collapse(repeated, space.alphabet))
+        _same_statistics(_statistics(space, cc.resampled(mult)),
+                         _statistics(space, collapse(repeated, space.alphabet)))
     for i, piece in enumerate(corpus.pieces):
-        alone = collapse(CorpusFile((piece,), corpus.meta), space.alphabet)
-        _same_statistics(space, cc.piece(i), alone)
+        alone = collapse(CorpusFile((piece,)), space.alphabet)
+        _same_statistics(_statistics(space, cc.piece(i)), _statistics(space, alone))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pieces=st.lists(st.lists(chords_st, max_size=10), min_size=1, max_size=6),
+       mult=st.lists(st.integers(0, 3), min_size=6, max_size=6))
+def test_statistics_equal_the_split_start_reference(space, pieces, mult):
+    """Statistics read from the start row -1 of each table equal, bit for
+    bit, those built with the start context kept apart, for a corpus, a
+    replicate of it and each of its pieces."""
+    cc = collapse(make_corpus(pieces), space.alphabet)
+    corpora = [cc, cc.resampled(mult[:len(pieces)]), *cc.pieces]
+    for c in corpora:
+        _same_statistics(_statistics(space, c), statistics_reference(space, c))

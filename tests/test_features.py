@@ -213,9 +213,15 @@ def test_feature_space_tables(space):
     al = space.alphabet
     assert space.n_features == len(FEATURE_NAMES) == 4
     assert [t.shape for t in space.standardized] == [
-        (len(al),), (len(al),), (al.n_classes, len(al)), (al.n_classes, len(al))
+        (len(al),), (len(al),), (al.n_classes + 1, len(al)), (al.n_classes + 1, len(al))
     ]
-    assert np.all(space.start_features[:, 2:] == 0.0)
+    # class rows are the standardized raw distances, bit for bit; the start
+    # row -1 after them is exactly 0
+    for k, raw in ((2, space.spectral_matrix), (3, space.vl_matrix)):
+        table = space.standardized[k]
+        want = (raw - space.stats.mean[k]) / space.stats.sd[k]
+        assert table[:-1].tobytes() == want.tobytes()
+        assert table[-1].tobytes() == bytes(8 * len(al))
     # fast path equals the slow path on random transitions
     rng = np.random.default_rng(2)
     for _ in range(25):
@@ -227,10 +233,10 @@ def test_feature_space_tables(space):
     for i in (0, 1000, 4094):
         raw = np.stack([space.raw_transition_values(i, j) for j in range(len(al))])
         assert np.array_equal(absolute_rows(space, i), space.stats.standardize(raw))
-    # start rows standardize the context-free features only
+    # the start row standardizes the context-free features only
     for j in (0, 77, 4000):
         slow = transition_features(None, al[j], space.stats, space.table, al)
-        assert np.allclose(space.start_features[j], slow.as_array(), atol=1e-12)
+        assert np.allclose(absolute_rows(space, None)[j], slow.as_array(), atol=1e-12)
 
 
 @pytest.mark.parametrize(

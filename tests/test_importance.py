@@ -193,7 +193,7 @@ def test_bootstrap_replicate_equals_explicitly_repeated_corpus(space, vl_corpus)
         mult = _replicate_multiplicities(seed, r, len(raw.pieces))
         assert mult.sum() == 16 and (mult == 0).any() and (mult > 1).any()
         order = np.repeat(np.arange(len(raw.pieces)), mult)
-        repeated = CorpusFile(tuple(raw.pieces[i] for i in order), raw.meta)
+        repeated = CorpusFile(tuple(raw.pieces[i] for i in order))
         explicit = collapsed(space, repeated)
         assert explicit.n_events == sum(
             m * p.n_events for m, p in zip(mult, vl_corpus.pieces)

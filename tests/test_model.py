@@ -297,12 +297,13 @@ def test_conditional_is_the_fit_kernels_row(space, weights, mask, ctx):
     probs = _softmax(_scores(stats.tables, model.effective_weights,
                              np.flatnonzero(mask)))[2]
     if ctx is None:
-        row, order = 0, np.arange(len(al))
+        table_row, order = -1, np.arange(len(al))
     else:
         ctx_id = al.id_of(ctx)
-        classes = np.unique(cc.group_counts[1][0])  # rows after the start row
-        row = 1 + int(np.searchsorted(classes, al.rep_row[ctx_id]))
+        table_row = al.rep_row[ctx_id]
         order = relative_ids(ctx_id, np.arange(len(al)), al)
+    # the kernel's rows are the corpus's table rows in order, start row -1 first
+    row = int(np.searchsorted(np.unique(cc.group_counts[0]), table_row))
     relative = np.empty_like(p)
     relative[order] = p
     assert np.array_equal(relative, probs[row if len(probs) > 1 else 0])
@@ -311,6 +312,29 @@ def test_conditional_is_the_fit_kernels_row(space, weights, mask, ctx):
         @ model.effective_weights
     naive = np.exp(scores - scores.max())
     assert np.allclose(p, naive / naive.sum(), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("ctx", [None, tuple(range(12))])
+def test_edge_rows_score_as_absolute_rows(space, ctx):
+    """The start context (table row -1) and the chromatic aggregate (the last
+    class row, just before it) read their own rows: conditional_distribution
+    and energy equal, bit for bit, the kernel's arithmetic on absolute_rows.
+    Both contexts read their row in chord-id order, so the sums agree too."""
+    al = space.alphabet
+    ctx_id = None if ctx is None else al.id_of(ctx)
+    if ctx is not None:
+        assert al.rep_row[ctx_id] == al.n_classes - 1
+    rows = absolute_rows(space, ctx_id)
+    for weights, mask in itertools.product(
+            ([0.5, 1.0, -1.0, -0.5], [-0.3, 2.0, -1.5, -2.5]), MASKS):
+        model = EnergyModel(space, weights=np.array(weights), feature_mask=mask)
+        w = model.effective_weights
+        scores = sum((w[k] * rows[:, k] for k in np.flatnonzero(mask)),
+                     np.zeros(len(al)))
+        want = _softmax(scores[None])[2][0]
+        assert conditional_distribution(ctx, model).tobytes() == want.tobytes()
+        for j in (0, 1000, 4094):
+            assert energy(ctx, al[j], model) == -float(scores[j])
 
 
 def test_sampler_draws_as_the_naive_reference(space):
