@@ -24,14 +24,12 @@ from .corpus import (
 from .features import (
     FEATURE_NAMES,
     FeatureSpace,
-    FeatureVector,
     HarmonicityTable,
     TransitionFeatureStats,
     build_harmonicity_table,
     build_transition_stats,
     get_feature_space,
     harmonicity_raw,
-    min_voice_leading,
     transition_features,
     virtual_pitch_spectrum,
 )
@@ -70,6 +68,7 @@ from .spectrum import (
     spectral_distance,
     tone_similarity_profile,
 )
+from .voiceleading import voice_leading_distance
 
 __version__ = "0.1.0"
 
@@ -83,7 +82,6 @@ __all__ = [
     "EnergyModel",
     "FEATURE_NAMES",
     "FeatureSpace",
-    "FeatureVector",
     "FitResult",
     "HarmonicityTable",
     "ImportanceReport",
@@ -109,7 +107,6 @@ __all__ = [
     "harmonic_tone_spectrum",
     "harmonicity_raw",
     "load_label_map",
-    "min_voice_leading",
     "normal_form",
     "parse_corpus",
     "parse_pcset",
@@ -122,5 +119,6 @@ __all__ = [
     "tone_similarity_profile",
     "transition_features",
     "virtual_pitch_spectrum",
+    "voice_leading_distance",
     "write_corpus",
 ]

@@ -44,9 +44,9 @@ from .corpus import (
 )
 from .features import FEATURE_NAMES, FeatureSpace, get_feature_space
 from .importance import (
-    MEASURES,
     bootstrap,
     feature_importance,
+    interval_rows,
     per_composition_importance,
 )
 from .model import EnergyModel, fit, full_mask, mask_from_names, sample_sequence
@@ -401,18 +401,7 @@ def cmd_importance(corpus_path, output_prefix, bootstrap_b, level, seed, ridge,
         corpus_level = bs.to_dict()
     else:
         report = feature_importance(collapsed, space, ridge=ridge)
-        rows = []
-        for row in report.rows():
-            rows.append({
-                "feature": row["feature"],
-                "measure": row["measure"],
-                "estimate": row["value"],
-                "lower": None,
-                "upper": None,
-                "oriented_estimate": row["oriented_value"],
-                "oriented_lower": None,
-                "oriented_upper": None,
-            })
+        rows = interval_rows(report)
         corpus_level = {"rows": rows, "point": report.to_dict()}
 
     payload = {
@@ -455,8 +444,9 @@ def cmd_importance(corpus_path, output_prefix, bootstrap_b, level, seed, ridge,
 
 def _weights_from_file(path: str) -> np.ndarray:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        # integers read as floats: one too large for a float is inf, not an error
+        obj = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"cannot read weights from {path}: {exc}")
     if isinstance(obj, dict) and isinstance(obj.get("result"), dict):
         obj = obj["result"]
@@ -475,10 +465,10 @@ def _weights_from_file(path: str) -> np.ndarray:
         )
     if len(values) != len(FEATURE_NAMES):
         raise click.UsageError(f"expected {len(FEATURE_NAMES)} weights")
-    try:
-        weights = np.array([float(v) for v in values])
-    except (TypeError, ValueError):
+    # every JSON number parses as a float, and true as a bool
+    if any(type(v) is not float for v in values):
         raise click.UsageError("weights must be numbers")
+    weights = np.array(values)
     if not np.all(np.isfinite(weights)):
         raise click.UsageError("weights must be finite")
     return weights

@@ -43,7 +43,8 @@ Event = tuple[PcSet, int | None]
 
 
 class CorpusFormatError(ValueError):
-    """Raised for malformed corpus files; message names the line at fault."""
+    """Raised for malformed corpus files; message names the file, and the
+    line at fault if one is."""
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,8 @@ def load_label_map(path: str | Path) -> dict[str, PcSet]:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(f"{path.name}: invalid JSON ({exc.msg})")
+    except UnicodeDecodeError:
+        raise CorpusFormatError(f"{path.name}: not UTF-8 text")
     if not isinstance(obj, dict) or not obj:
         raise CorpusFormatError(
             f"{path.name}: expected a non-empty object mapping labels to"
@@ -170,7 +173,8 @@ def parse_corpus(
     fmt: str = "jsonl",
     label_map: dict[str, PcSet] | None = None,
 ) -> CorpusFile:
-    """Read a corpus file; raises CorpusFormatError naming the faulty line."""
+    """Read a corpus file; raises CorpusFormatError naming the faulty line,
+    or only the file if it is not UTF-8 text."""
     path = Path(path)
     if fmt not in ("jsonl", "plain"):
         raise ValueError(f"unknown corpus format {fmt!r}")
@@ -181,25 +185,28 @@ def parse_corpus(
     # chord text -> validated chord; a chord is checked once per call and its
     # repeats share one tuple
     valid: dict[str, PcSet] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path.name}:{lineno}"
-            if fmt == "plain":
-                if line.startswith("#"):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
                     continue
-                piece = Piece(
-                    id=f"piece-{len(pieces) + 1:04d}",
-                    events=_parse_plain_line(line, where, label_map, valid),
-                )
-            else:
-                piece = _parse_jsonl_line(line, where, valid)
-            if piece.id in seen_ids:
-                raise CorpusFormatError(f"{where}: duplicate piece id {piece.id!r}")
-            seen_ids.add(piece.id)
-            pieces.append(piece)
+                where = f"{path.name}:{lineno}"
+                if fmt == "plain":
+                    if line.startswith("#"):
+                        continue
+                    piece = Piece(
+                        id=f"piece-{len(pieces) + 1:04d}",
+                        events=_parse_plain_line(line, where, label_map, valid),
+                    )
+                else:
+                    piece = _parse_jsonl_line(line, where, valid)
+                if piece.id in seen_ids:
+                    raise CorpusFormatError(f"{where}: duplicate piece id {piece.id!r}")
+                seen_ids.add(piece.id)
+                pieces.append(piece)
+    except UnicodeDecodeError:
+        raise CorpusFormatError(f"{path.name}: not UTF-8 text")
     if not pieces:
         raise CorpusFormatError(f"{path.name}: corpus contains no pieces")
     return CorpusFile(pieces=tuple(pieces))

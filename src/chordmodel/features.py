@@ -59,26 +59,6 @@ N_FEATURES = len(FEATURE_NAMES)
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    """Standardized feature values for one chord transition."""
-
-    chord_size: float
-    harmonicity: float
-    spectral_distance: float
-    voice_leading_distance: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.chord_size,
-                self.harmonicity,
-                self.spectral_distance,
-                self.voice_leading_distance,
-            ]
-        )
-
-
-@dataclass(frozen=True)
 class HarmonicityTable:
     """Raw and size-normalized harmonicity for every alphabet chord."""
 
@@ -95,11 +75,6 @@ class TransitionFeatureStats:
 
     def standardize(self, raw: np.ndarray) -> np.ndarray:
         return (np.asarray(raw, dtype=float) - self.mean) / self.sd
-
-
-def min_voice_leading(x: PcSet, y: PcSet) -> float:
-    """Exact minimal voice-leading distance (edge-cover minimum)."""
-    return voice_leading_distance(x, y)
 
 
 def virtual_pitch_spectrum(
@@ -232,11 +207,12 @@ def transition_features(
     table: HarmonicityTable,
     alphabet: ChordAlphabet | None = None,
     params: SpectrumParams = SpectrumParams(),
-) -> FeatureVector:
+) -> np.ndarray:
     """Standardized features of one transition, computed from first principles.
 
-    This is the slow reference path (fresh spectra, fresh voice-leading
-    solve); FeatureSpace provides the cached equivalent for bulk work.
+    Returns an array of shape (4,) in FEATURE_NAMES order. This is the slow
+    reference path (fresh spectra, fresh voice-leading solve); FeatureSpace
+    provides the cached equivalent for bulk work.
     """
     alphabet = alphabet or enumerate_alphabet()
     cur = as_pcset(cur)
@@ -252,8 +228,7 @@ def transition_features(
             pcset_spectrum(prev, params), pcset_spectrum(cur, params)
         )
         raw[3] = voice_leading_distance(prev, cur)
-    z = stats.standardize(raw)
-    return FeatureVector(*[float(v) for v in z])
+    return stats.standardize(raw)
 
 
 class FeatureSpace:
@@ -328,6 +303,8 @@ class FeatureSpace:
         return len(self.standardized)
 
     def _cached_vl_matrix(self, cache_dir: str | Path | None) -> np.ndarray:
+        """The pinned voice-leading matrix, read from or saved to
+        cache_dir/voiceleading-<VL_MATRIX_SHA256[:16]>.npy."""
         al = self.alphabet
 
         def pinned(m: np.ndarray) -> bool:
@@ -336,7 +313,7 @@ class FeatureSpace:
                 np.uint8, (al.n_classes, len(al)), VL_MATRIX_SHA256)
 
         if cache_dir is not None:
-            path = Path(cache_dir) / f"voiceleading-{al.ordering_hash()}.npy"
+            path = Path(cache_dir) / f"voiceleading-{VL_MATRIX_SHA256[:16]}.npy"
             # a missing, truncated or not .npy file is rebuilt like a wrong one
             with suppress(OSError, ValueError, EOFError), path.open("rb") as fh:
                 stored = np.lib.format.read_array(fh)

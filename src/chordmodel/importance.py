@@ -121,23 +121,19 @@ class ImportanceReport:
         raise ValueError(f"unknown measure: {measure!r}")
 
     def rows(self) -> list[dict]:
-        """Long-format rows: one per (feature, measure), with oriented value."""
-        orient = orientation(self.feature_names)
+        """Long-format rows: one per (feature, measure), with oriented value,
+        as interval_rows without bounds."""
         out = []
-        for measure in MEASURES:
-            vals = self.values(measure)
-            for j, name in enumerate(self.feature_names):
-                value = float(vals[j])
-                oriented = float(value * orient[j]) if measure == "weight" else value
-                row = {
-                    "feature": name,
-                    "measure": measure,
-                    "value": value,
-                    "oriented_value": oriented,
-                }
-                if self.piece_id is not None:
-                    row["piece_id"] = self.piece_id
-                out.append(row)
+        for full in interval_rows(self):
+            row = {
+                "feature": full["feature"],
+                "measure": full["measure"],
+                "value": full["estimate"],
+                "oriented_value": full["oriented_estimate"],
+            }
+            if self.piece_id is not None:
+                row["piece_id"] = self.piece_id
+            out.append(row)
         return out
 
     def to_dict(self) -> dict:
@@ -223,6 +219,42 @@ def feature_importance(
     )
 
 
+def interval_rows(
+    point: ImportanceReport,
+    lower: dict[str, np.ndarray] | None = None,
+    upper: dict[str, np.ndarray] | None = None,
+    measures=MEASURES,
+) -> list[dict]:
+    """Long-format rows, one per (measure, feature): estimate, lower, upper
+    and their oriented values.
+
+    lower and upper map a measure to per-feature bounds; without them every
+    bound is None. Orienting a distance feature's weight negates it and
+    swaps its bounds; every other value is oriented as it is.
+    """
+    orient = orientation(point.feature_names)
+    out = []
+    for measure in measures:
+        for j, name in enumerate(point.feature_names):
+            est = float(point.values(measure)[j])
+            lo, hi = (None, None) if lower is None else (
+                float(lower[measure][j]), float(upper[measure][j]))
+            oriented = (est, lo, hi)
+            if measure == "weight" and orient[j] < 0:
+                oriented = tuple(None if v is None else -v for v in (est, hi, lo))
+            out.append({
+                "feature": name,
+                "measure": measure,
+                "estimate": est,
+                "lower": lo,
+                "upper": hi,
+                "oriented_estimate": oriented[0],
+                "oriented_lower": oriented[1],
+                "oriented_upper": oriented[2],
+            })
+    return out
+
+
 @dataclass
 class BootstrapResult:
     """Percentile intervals for every (feature, measure) pair.
@@ -249,31 +281,8 @@ class BootstrapResult:
         return self.n_nonconverged > NONCONVERGED_FLAG_FRACTION * self.n_replicates
 
     def rows(self) -> list[dict]:
-        """Long-format rows: feature, measure, estimate, lower, upper."""
-        orient = orientation(self.feature_names)
-        out = []
-        for measure in self.measures:
-            est = self.point.values(measure)
-            lo = self.lower[measure]
-            hi = self.upper[measure]
-            for j, name in enumerate(self.feature_names):
-                if measure == "weight" and orient[j] < 0:
-                    oriented = (-est[j], -hi[j], -lo[j])
-                else:
-                    oriented = (est[j], lo[j], hi[j])
-                out.append(
-                    {
-                        "feature": name,
-                        "measure": measure,
-                        "estimate": float(est[j]),
-                        "lower": float(lo[j]),
-                        "upper": float(hi[j]),
-                        "oriented_estimate": float(oriented[0]),
-                        "oriented_lower": float(oriented[1]),
-                        "oriented_upper": float(oriented[2]),
-                    }
-                )
-        return out
+        """Long-format rows with percentile bounds, as interval_rows."""
+        return interval_rows(self.point, self.lower, self.upper, self.measures)
 
     def to_dict(self) -> dict:
         return {

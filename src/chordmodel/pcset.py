@@ -8,7 +8,6 @@ which makes them serviceable dictionary keys.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -40,13 +39,6 @@ def pc_distance(a: float, b: float) -> float:
     """Distance between two pitch classes on the chromatic circle, in [0, 6]."""
     diff = abs(float(a) - float(b)) % N_PITCH_CLASSES
     return min(diff, N_PITCH_CLASSES - diff)
-
-
-def freq_to_pc(f: float) -> float:
-    """Map a frequency in Hz to a pitch class in [0, 12), with A4 = 440 Hz at 9."""
-    if f <= 0:
-        raise ValueError(f"frequency must be positive, got {f}")
-    return (9.0 + 12.0 * math.log2(f / 440.0)) % N_PITCH_CLASSES
 
 
 def transpose(x: PcSet, t: int) -> PcSet:
@@ -120,7 +112,8 @@ def normal_form(x: PcSet) -> tuple[TranspositionClass, int]:
 class ChordAlphabet:
     """The 4,095 non-empty pitch-class sets, ordered by (size, lexicographic).
 
-    The ordering is part of the on-disk cache contract. Alongside the
+    The ordering is part of the on-disk cache contract: the voice-leading
+    matrix's pinned digest, VL_MATRIX_SHA256, depends on it. Alongside the
     enumeration this carries id maps, the 12-bit masks, transposition
     permutations, and the decomposition of every chord into
     (transposition-class row, shift), all as normal_form defines them.
@@ -175,13 +168,6 @@ class ChordAlphabet:
     @property
     def n_classes(self) -> int:
         return len(self.rep_ids)
-
-    def ordering_hash(self) -> str:
-        """Hash of the enumeration order, embedded in cache file names."""
-        import hashlib
-
-        payload = ";".join(format_pcset(c) for c in self.chords)
-        return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
 
 
 _ALPHABET: ChordAlphabet | None = None

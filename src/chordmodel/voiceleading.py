@@ -25,7 +25,8 @@ import numpy as np
 from .pcset import N_PITCH_CLASSES, ChordAlphabet, PcSet, as_pcset
 
 # SHA-256 of voice_leading_matrix(enumerate_alphabet()).tobytes(); the
-# voice-leading cache trusts a file, and a fresh build, only with this digest
+# voice-leading cache trusts a file, and a fresh build, only with this digest,
+# and names its file voiceleading-<first 16 hex digits>.npy
 VL_MATRIX_SHA256 = "9bffdfb743ab0563a99a8ec60501608bd2371e696a9185e0a39db694576dd944"
 
 

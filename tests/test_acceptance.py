@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from chordmodel.corpus import collapse, parse_corpus, preprocess_corpus
-from chordmodel.features import harmonicity_raw, min_voice_leading
+from chordmodel.features import harmonicity_raw
 from chordmodel.importance import bootstrap, feature_importance
 from chordmodel.model import (
     EnergyModel,
@@ -26,6 +26,7 @@ from chordmodel.model import (
     mask_from_names,
 )
 from chordmodel.spectrum import SpectrumParams, pcset_spectrum, spectral_distance
+from chordmodel.voiceleading import voice_leading_distance
 
 from helpers import (
     collapsed,
@@ -133,7 +134,7 @@ def test_voice_leading_equals_brute_force():
         oracle = edge_cover_star_union(costs)
         for (x, y), v in zip(pairs, oracle):
             n_pairs += 1
-            if min_voice_leading(x, y) != v:
+            if voice_leading_distance(x, y) != v:
                 mismatches += 1
     rng = np.random.default_rng(303)
     for _ in range(200):
@@ -144,7 +145,7 @@ def test_voice_leading_equals_brute_force():
             sorted(rng.choice(12, size=int(rng.integers(1, 6)), replace=False))
         )
         n_pairs += 1
-        if min_voice_leading(x, y) != edge_cover_subset_dp(cost_matrix(x, y)):
+        if voice_leading_distance(x, y) != edge_cover_subset_dp(cost_matrix(x, y)):
             mismatches += 1
     runtime = time.perf_counter() - t0
     ok = mismatches == 0 and runtime < 120

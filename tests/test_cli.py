@@ -419,12 +419,25 @@ def test_importance_table_shape(runner, corpus_file, tmp_path):
     assert {r["feature"] for r in rows} == set(FEATURE_NAMES)
     # without bootstrap the interval columns stay empty
     assert all(r["lower"] == "" and r["upper"] == "" for r in rows)
-    weight_rows = {r["feature"]: r for r in rows if r["measure"] == "weight"}
-    sd = weight_rows["spectral_distance"]
-    assert float(sd["oriented_estimate"]) == -float(sd["estimate"])
     payload = json.loads((tmp_path / "imp.json").read_text(encoding="utf-8"))
     assert payload["config_hash"] == csv_hash  # JSON and CSV agree
     assert payload["corpus_level"]["point"]["converged"] is True
+    # the JSON rows are the CSV rows: null bounds, and the oriented weights of
+    # the two distance features negated
+    json_rows = payload["corpus_level"]["rows"]
+    assert len(json_rows) == len(rows)
+    negated = 0
+    for got, row in zip(json_rows, rows):
+        assert row == {k: "" if v is None else str(v) for k, v in got.items()}
+        assert [got[k] for k in ("lower", "upper", "oriented_lower",
+                                 "oriented_upper")] == [None] * 4
+        if got["measure"] == "weight" and got["feature"] in (
+                "spectral_distance", "voice_leading_distance"):
+            assert got["oriented_estimate"] == -got["estimate"] != 0.0
+            negated += 1
+        else:
+            assert got["oriented_estimate"] == got["estimate"]
+    assert negated == 2
 
 
 def test_importance_bootstrap_intervals_and_thread_independence(
@@ -600,7 +613,11 @@ def test_sample_rejects_bad_weights(runner, tmp_path):
         ("[1, 2]", "expected 4 weights"),
         ('{"loudness": 1.0}', "unknown feature names"),
         ('[1, 2, 3, "x"]', "weights must be numbers"),
+        ("[true, 0, 0, 0]", "weights must be numbers"),
+        ('{"chord_size": "0.5"}', "weights must be numbers"),
+        ('{"weights": {"harmonicity": false}}', "weights must be numbers"),
         ("[1, 2, 3, NaN]", "weights must be finite"),
+        (f"[1, 2, 3, {'9' * 400}]", "weights must be finite"),
         ("{nope", "cannot read weights"),
     ]:
         bad.write_text(content, encoding="utf-8")
@@ -609,6 +626,30 @@ def test_sample_rejects_bad_weights(runner, tmp_path):
         )
         assert result.exit_code == 2, content
         assert fragment in result.output
+
+
+@pytest.mark.parametrize("bad, args", [
+    ("c.txt", ["fit", "c.txt"]),
+    ("c.jsonl", ["features", "c.jsonl"]),
+    ("c.jsonl", ["importance", "c.jsonl"]),
+    ("labels.json", ["features", "c.txt", "--label-map", "labels.json"]),
+    ("w.json", ["sample", "w.json", "-o", "out.txt"]),
+])
+def test_non_utf8_input_is_a_usage_error(runner, tmp_path, monkeypatch, bad, args):
+    files = {
+        "c.txt": b"0,4,7 5,9,0\n",
+        "c.jsonl": b'{"id": "a", "chords": [[0, 4, 7], [5, 9, 0]]}\n',
+        "labels.json": b'{"I": [0, 4, 7], "IV": [5, 9, 0]}',
+        "w.json": b"[0.5, 0, 0, 0]",
+    }
+    files[bad] = files[bad][:10] + b"\xff" + files[bad][10:]
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    result = run(runner, *cached(*args))
+    assert result.exit_code == 2
+    assert bad in result.output
+    assert "utf-8" in result.output.lower()
 
 
 def test_config_hash_is_stable_and_sensitive(runner, corpus_file):

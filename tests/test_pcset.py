@@ -15,7 +15,6 @@ from chordmodel.pcset import (
     as_pcset,
     enumerate_alphabet,
     format_pcset,
-    freq_to_pc,
     normal_form,
     parse_pcset,
     pc_distance,
@@ -52,14 +51,6 @@ def test_pc_distance_is_a_metric_on_the_circle(a, b):
     assert d == pc_distance(b, a)
     assert pc_distance(a, a) == 0.0
     assert abs(pc_distance(a + 12.0, b) - d) < 1e-9
-
-
-def test_freq_to_pc_reference_points():
-    assert abs(freq_to_pc(440.0) - 9.0) < 1e-12
-    assert abs(freq_to_pc(220.0) - 9.0) < 1e-12
-    assert pc_distance(freq_to_pc(261.6255653), 0.0) < 1e-6
-    with pytest.raises(ValueError):
-        freq_to_pc(0.0)
 
 
 def test_parse_format_round_trip():
@@ -160,9 +151,3 @@ def test_shift_and_rep_row_reconstruct_chord(alphabet):
 def test_alphabet_tables_match_normal_form_reference(alphabet):
     for name, expected in alphabet_reference(alphabet).items():
         assert np.array_equal(getattr(alphabet, name), expected), name
-
-
-def test_ordering_hash_is_pinned(alphabet):
-    """The hash names every voice-leading cache file; a new value would make
-    every existing cache miss and be rebuilt."""
-    assert alphabet.ordering_hash() == "c3272b0feb8e701a"
