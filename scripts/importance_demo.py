@@ -39,14 +39,7 @@ def build_corpus(space, pieces_per_regime, length, seed) -> CorpusFile:
         model = EnergyModel(space, weights=weights)
         rng = np.random.default_rng([seed, k])
         for i in range(pieces_per_regime):
-            pieces.append(
-                Piece(
-                    id=f"{name}-{i:03d}",
-                    events=tuple(
-                        (c, None) for c in sample_sequence(model, length, rng)
-                    ),
-                )
-            )
+            pieces.append(Piece(f"{name}-{i:03d}", sample_sequence(model, length, rng)))
     return CorpusFile(pieces=tuple(pieces))
 
 

@@ -30,15 +30,8 @@ from chordmodel.model import EnergyModel, fit, sample_sequence
 def sample_corpus(space, weights, n_pieces, length, seed) -> CorpusFile:
     model = EnergyModel(space, weights=weights)
     rng = np.random.default_rng(seed)
-    pieces = tuple(
-        Piece(
-            id=f"synthetic-{i:04d}",
-            events=tuple(
-                (chord, None) for chord in sample_sequence(model, length, rng)
-            ),
-        )
-        for i in range(n_pieces)
-    )
+    pieces = tuple(Piece(f"synthetic-{i:04d}", sample_sequence(model, length, rng))
+                   for i in range(n_pieces))
     return CorpusFile(pieces=pieces)
 
 

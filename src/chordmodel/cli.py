@@ -141,7 +141,10 @@ def _build_space(rho, sigma, harmonics, bins, q_literal, cache_dir) -> FeatureSp
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    return get_feature_space(params, literal_q=q_literal, cache_dir=cache_dir)
+    try:
+        return get_feature_space(params, literal_q=q_literal, cache_dir=cache_dir)
+    except OSError as exc:
+        raise click.UsageError(f"cannot use cache directory {cache_dir}: {exc}")
 
 
 def _read_corpus(path: str, fmt: str, label_map_path: str | None) -> CorpusFile:
@@ -445,7 +448,7 @@ def cmd_importance(corpus_path, output_prefix, bootstrap_b, level, seed, ridge,
 def _weights_from_file(path: str) -> np.ndarray:
     try:
         # integers read as floats: one too large for a float is inf, not an error
-        obj = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
+        obj = json.loads(Path(path).read_text(encoding="utf-8-sig"), parse_int=float)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"cannot read weights from {path}: {exc}")
     if isinstance(obj, dict) and isinstance(obj.get("result"), dict):
@@ -495,14 +498,8 @@ def cmd_sample(weights_path, output, n_pieces, length, seed, corpus_format,
     space = _build_space(rho, sigma, harmonics, bins, q_literal, cache_dir)
     model = EnergyModel(space, weights=weights)
     rng = np.random.default_rng(seed)
-    pieces = tuple(
-        Piece(
-            id=f"sample-{i:04d}",
-            events=tuple((chord, None) for chord in
-                         sample_sequence(model, length, rng)),
-        )
-        for i in range(n_pieces)
-    )
+    pieces = tuple(Piece(f"sample-{i:04d}", sample_sequence(model, length, rng))
+                   for i in range(n_pieces))
     write_corpus(CorpusFile(pieces=pieces), output, corpus_format)
     click.echo(f"wrote {n_pieces} piece(s) of {length} chords to {output}")
 

@@ -1,6 +1,9 @@
 """Chord-sequence corpus ingestion, preprocessing, and collapse.
 
-Two interchangeable file formats, both UTF-8 with blank lines ignored:
+A piece is its chord sequence, a tuple of pitch-class sets, with an
+optional bass pitch class (or None) per chord. Two interchangeable file
+formats, both UTF-8 (a leading byte-order mark is ignored) with blank lines
+ignored:
 
 - jsonl: one JSON object per line,
   {"id": str, "chords": [[pc, ...], ...], "bass": [pc | null, ...]?}
@@ -14,9 +17,10 @@ map, plain-format tokens are looked up instead of parsed as numbers. No
 vocabulary ships here; the mapping is the user's claim about their data.
 
 Preprocessing merges consecutive events with identical (pitch-class set,
-bass) pairs; a change of bass over the same set survives as a repeated set,
-which is how chord inversions are represented. Bass plays no further role:
-the model reads pitch-class sets only.
+bass) pairs and returns bass-less pieces; a change of bass over the same
+set survives as a repeated set, which is how chord inversions are
+represented. Bass plays no further role: the model reads pitch-class sets
+only.
 
 Collapse groups events by the transposition normal form of their (context,
 continuation) pair; events with no context group by the continuation's
@@ -39,9 +43,6 @@ import numpy as np
 from .atomic import replacing
 from .pcset import N_PITCH_CLASSES, ChordAlphabet, PcSet, enumerate_alphabet
 
-Event = tuple[PcSet, int | None]
-
-
 class CorpusFormatError(ValueError):
     """Raised for malformed corpus files; message names the file, and the
     line at fault if one is."""
@@ -49,14 +50,12 @@ class CorpusFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Piece:
-    """One chord sequence; events pair a pitch-class set with an optional bass."""
+    """One chord sequence. bass is None, or one bass pitch class (or None)
+    per chord."""
 
     id: str
-    events: tuple[Event, ...]
-
-    @property
-    def chords(self) -> tuple[PcSet, ...]:
-        return tuple(pcs for pcs, _ in self.events)
+    chords: tuple[PcSet, ...]
+    bass: tuple[int | None, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -79,11 +78,12 @@ def load_label_map(path: str | Path) -> dict[str, PcSet]:
     """Read a JSON label -> pitch-class-list map for plain-format corpora."""
     path = Path(path)
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"{path.name}: invalid JSON ({exc.msg})")
+        obj = json.loads(path.read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError:
         raise CorpusFormatError(f"{path.name}: not UTF-8 text")
+    except ValueError as exc:  # also an integer past Python's digit limit
+        raise CorpusFormatError(
+            f"{path.name}: invalid JSON ({getattr(exc, 'msg', exc)})")
     if not isinstance(obj, dict) or not obj:
         raise CorpusFormatError(
             f"{path.name}: expected a non-empty object mapping labels to"
@@ -104,8 +104,8 @@ def _parse_plain_line(
     where: str,
     label_map: dict[str, PcSet] | None,
     valid: dict[str, PcSet],
-) -> tuple[Event, ...]:
-    events = []
+) -> tuple[PcSet, ...]:
+    chords = []
     for token in line.split():
         if label_map is not None:
             if token not in label_map:
@@ -119,17 +119,17 @@ def _parse_plain_line(
             except ValueError:
                 raise CorpusFormatError(f"{where}: malformed chord token {token!r}")
             chord = valid[token] = _validated_chord(values, f"{where}: token {token!r}")
-        events.append((chord, None))
-    if not events:
+        chords.append(chord)
+    if not chords:
         raise CorpusFormatError(f"{where}: piece has no chords")
-    return tuple(events)
+    return tuple(chords)
 
 
 def _parse_jsonl_line(line: str, where: str, valid: dict[str, PcSet]) -> Piece:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"{where}: invalid JSON ({exc.msg})")
+    except ValueError as exc:  # also an integer past Python's digit limit
+        raise CorpusFormatError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})")
     if not isinstance(obj, dict) or "id" not in obj or "chords" not in obj:
         raise CorpusFormatError(f'{where}: expected an object with "id" and "chords"')
     piece_id = obj["id"]
@@ -147,25 +147,21 @@ def _parse_jsonl_line(line: str, where: str, valid: dict[str, PcSet]) -> Piece:
         if key not in valid:
             valid[key] = _validated_chord(c, f"{where}: chord {k}")
         chords.append(valid[key])
-    bass_raw = obj.get("bass")
-    if bass_raw is None:
-        bass = [None] * len(chords)
-    else:
-        if not isinstance(bass_raw, list) or len(bass_raw) != len(chords):
+    bass = obj.get("bass")
+    if bass is not None:
+        if not isinstance(bass, list) or len(bass) != len(chords):
             raise CorpusFormatError(f"{where}: bass list length differs from chords")
-        bass = []
-        for k, b in enumerate(bass_raw):
+        for k, b in enumerate(bass):
             if b is None:
-                bass.append(None)
-            elif isinstance(b, int) and not isinstance(b, bool) and 0 <= b < 12:
-                if b not in chords[k]:
-                    raise CorpusFormatError(
-                        f"{where}: bass {b} of chord {k} is not a chord member"
-                    )
-                bass.append(b)
-            else:
+                continue
+            if not isinstance(b, int) or isinstance(b, bool) or not 0 <= b < 12:
                 raise CorpusFormatError(f"{where}: bass {b!r} outside 0..11")
-    return Piece(id=piece_id, events=tuple(zip(chords, bass)))
+            if b not in chords[k]:
+                raise CorpusFormatError(
+                    f"{where}: bass {b} of chord {k} is not a chord member"
+                )
+        bass = tuple(bass) if any(b is not None for b in bass) else None
+    return Piece(piece_id, tuple(chords), bass)
 
 
 def parse_corpus(
@@ -186,7 +182,7 @@ def parse_corpus(
     # repeats share one tuple
     valid: dict[str, PcSet] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -195,10 +191,8 @@ def parse_corpus(
                 if fmt == "plain":
                     if line.startswith("#"):
                         continue
-                    piece = Piece(
-                        id=f"piece-{len(pieces) + 1:04d}",
-                        events=_parse_plain_line(line, where, label_map, valid),
-                    )
+                    piece = Piece(f"piece-{len(pieces) + 1:04d}",
+                                  _parse_plain_line(line, where, label_map, valid))
                 else:
                     piece = _parse_jsonl_line(line, where, valid)
                 if piece.id in seen_ids:
@@ -218,14 +212,11 @@ def write_corpus(corpus: CorpusFile, path: str | Path, fmt: str = "jsonl") -> No
     lines = []
     for piece in corpus.pieces:
         if fmt == "plain":
-            lines.append(" ".join(",".join(map(str, pcs)) for pcs, _ in piece.events))
+            lines.append(" ".join(",".join(map(str, pcs)) for pcs in piece.chords))
         elif fmt == "jsonl":
-            obj: dict = {
-                "id": piece.id,
-                "chords": [list(pcs) for pcs, _ in piece.events],
-            }
-            if any(b is not None for _, b in piece.events):
-                obj["bass"] = [b for _, b in piece.events]
+            obj: dict = {"id": piece.id, "chords": [list(pcs) for pcs in piece.chords]}
+            if any(b is not None for b in piece.bass or ()):
+                obj["bass"] = list(piece.bass)
             lines.append(json.dumps(obj, separators=(",", ":")))
         else:
             raise ValueError(f"unknown corpus format {fmt!r}")
@@ -234,21 +225,17 @@ def write_corpus(corpus: CorpusFile, path: str | Path, fmt: str = "jsonl") -> No
 
 
 def preprocess(piece: Piece) -> Piece:
-    """Merge consecutive events with identical (pitch-class set, bass),
-    then drop the bass.
+    """Merge consecutive events with identical (pitch-class set, bass) and
+    return the bass-less piece.
 
     A bass change over an unchanged set survives as a repeated set
     (inversion change); downstream consumers see pitch-class sets only.
     Single-pass ingestion step: reapplying it to its own output would merge
     the deliberately kept inversion repeats, so it is not idempotent.
     """
-    events: list[Event] = []
-    for event in piece.events:
-        if not events or events[-1] != event:
-            events.append(event)
-    return Piece(
-        id=piece.id, events=tuple((chord, None) for chord, _ in events)
-    )
+    keys = piece.chords if piece.bass is None else tuple(zip(piece.chords, piece.bass))
+    return Piece(piece.id, tuple(c for k, c in enumerate(piece.chords)
+                                 if k == 0 or keys[k] != keys[k - 1]))
 
 
 def preprocess_corpus(corpus: CorpusFile) -> CorpusFile:
@@ -354,8 +341,8 @@ def collapse(
 ) -> CollapsedCorpus:
     """Collapse a preprocessed corpus into per-piece group counts."""
     alphabet = alphabet or enumerate_alphabet()
-    lengths = [len(p.events) for p in corpus.pieces]
-    ids = np.array([alphabet.id_of(c) for p in corpus.pieces for c, _ in p.events],
+    lengths = [len(p.chords) for p in corpus.pieces]
+    ids = np.array([alphabet.id_of(c) for p in corpus.pieces for c in p.chords],
                    dtype=np.int64)
     piece_of = np.repeat(np.arange(len(lengths)), lengths)
     # start codes, then transition codes for events after one of their piece

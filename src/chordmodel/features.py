@@ -314,6 +314,8 @@ class FeatureSpace:
 
         if cache_dir is not None:
             path = Path(cache_dir) / f"voiceleading-{VL_MATRIX_SHA256[:16]}.npy"
+            # an unusable directory fails here, before the build
+            path.parent.mkdir(parents=True, exist_ok=True)
             # a missing, truncated or not .npy file is rebuilt like a wrong one
             with suppress(OSError, ValueError, EOFError), path.open("rb") as fh:
                 stored = np.lib.format.read_array(fh)
@@ -323,7 +325,6 @@ class FeatureSpace:
         if not pinned(stored):
             raise RuntimeError("voice-leading matrix does not match VL_MATRIX_SHA256")
         if cache_dir is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
             with replacing(path) as (tmp,), open(tmp, "wb") as fh:
                 np.save(fh, stored)
         return stored

@@ -55,10 +55,8 @@ from chordmodel.spectrum import (
 def make_corpus(pieces_chords, ids=None) -> CorpusFile:
     """CorpusFile from a list of chord-tuple sequences (bass-less)."""
     pieces = tuple(
-        Piece(
-            id=ids[k] if ids else f"piece-{k:04d}",
-            events=tuple((tuple(sorted(c)), None) for c in chords),
-        )
+        Piece(ids[k] if ids else f"piece-{k:04d}",
+              tuple(tuple(sorted(c)) for c in chords))
         for k, chords in enumerate(pieces_chords)
     )
     return CorpusFile(pieces=pieces)

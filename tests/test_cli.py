@@ -652,6 +652,63 @@ def test_non_utf8_input_is_a_usage_error(runner, tmp_path, monkeypatch, bad, arg
     assert "utf-8" in result.output.lower()
 
 
+@pytest.mark.parametrize("bad, args", [
+    ("c.jsonl", ["fit", "c.jsonl"]),
+    ("labels.json", ["fit", "c.txt", "--label-map", "labels.json"]),
+])
+def test_oversized_json_integer_is_a_usage_error(runner, tmp_path, monkeypatch,
+                                                 bad, args):
+    # beyond Python's default 4,300-digit limit for int conversion
+    huge = "7" * 5000
+    files = {
+        "c.txt": "I IV\n",
+        "c.jsonl": f'{{"id": "a", "chords": [[0, {huge}]]}}\n',
+        "labels.json": f'{{"I": [0, 4, 7], "IV": [5, 9, {huge}]}}',
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    result = run(runner, *cached(*args))
+    assert result.exit_code == 2
+    assert bad in result.output
+
+
+def test_unusable_cache_dir_is_a_usage_error(runner, corpus_file, tmp_path):
+    (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
+    cache = tmp_path / "afile" / "sub"
+    result = run(runner, "fit", corpus_file, "--cache-dir", cache)
+    assert result.exit_code == 2
+    assert str(cache) in result.output
+
+
+@pytest.mark.parametrize("marked, args, output", [
+    ("c.txt", ["fit", "c.txt"], None),
+    ("c.jsonl", ["fit", "c.jsonl"], None),
+    ("labels.json", ["features", "l.txt", "--label-map", "labels.json"], None),
+    ("w.json", ["sample", "w.json", "-o", "out.txt"], "out.txt"),
+])
+def test_byte_order_mark_is_ignored(runner, tmp_path, monkeypatch, marked, args,
+                                    output):
+    files = {
+        "c.txt": b"0,4,7 5,9,0\n",
+        "c.jsonl": b'{"id": "a", "chords": [[0, 4, 7], [5, 9, 0]]}\n',
+        "l.txt": b"I IV\n",
+        "labels.json": b'{"I": [0, 4, 7], "IV": [5, 9, 0]}',
+        "w.json": b"[0.5, 0, 0, 0]",
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    results = []
+    for data in (files[marked], b"\xef\xbb\xbf" + files[marked]):
+        (tmp_path / marked).write_bytes(data)
+        result = run(runner, *cached(*args))
+        assert result.exit_code == 0, result.output
+        results.append((result.output,
+                        output and (tmp_path / output).read_bytes()))
+    assert results[0] == results[1]
+
+
 def test_config_hash_is_stable_and_sensitive(runner, corpus_file):
     base = json.loads(run(runner, *cached("fit", corpus_file)).output)
     again = json.loads(run(runner, *cached("fit", corpus_file)).output)

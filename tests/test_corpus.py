@@ -37,7 +37,7 @@ def test_parse_plain(tmp_path):
     assert corpus.pieces[0].id == "piece-0001"
     assert corpus.pieces[0].chords == ((0, 4, 7), (0, 5, 9), (2, 7, 11))
     assert corpus.pieces[1].chords == ((0,), (0, 6))
-    assert all(b is None for piece in corpus.pieces for _, b in piece.events)
+    assert all(piece.bass is None for piece in corpus.pieces)
 
 
 def test_parse_jsonl_with_bass(tmp_path):
@@ -56,32 +56,26 @@ def test_parse_jsonl_with_bass(tmp_path):
         ],
     )
     corpus = parse_corpus(p, fmt="jsonl")
-    assert corpus.pieces[0].events == (
-        ((0, 4, 7), 0),
-        ((0, 4, 7), 4),
-        ((0, 5, 9), None),
-    )
-    assert corpus.pieces[1].events == (((2, 7, 11), None),)
+    assert corpus.pieces[0].chords == ((0, 4, 7), (0, 4, 7), (0, 5, 9))
+    assert corpus.pieces[0].bass == (0, 4, None)
+    assert corpus.pieces[1].chords == ((2, 7, 11),)
+    assert corpus.pieces[1].bass is None
 
 
 def test_preprocess_merges_repeats_then_drops_bass():
     piece = Piece(
         id="p",
-        events=(
-            ((0, 4, 7), 0),
-            ((0, 4, 7), 0),  # exact repeat: merged
-            ((0, 4, 7), 4),  # inversion change: kept
-            ((0, 5, 9), None),
-            ((0, 5, 9), None),  # exact repeat: merged
-        ),
+        chords=((0, 4, 7), (0, 4, 7), (0, 4, 7), (0, 5, 9), (0, 5, 9)),
+        # exact repeat: merged; inversion change: kept; exact repeat: merged
+        bass=(0, 0, 4, None, None),
     )
     out = preprocess(piece)
     assert out.chords == ((0, 4, 7), (0, 4, 7), (0, 5, 9))
-    assert all(b is None for _, b in out.events)
+    assert out.bass is None
 
 
 def test_preprocess_keeps_bassless_repeats_merged():
-    piece = Piece(id="p", events=(((0,), None), ((0,), None), ((1,), None)))
+    piece = Piece(id="p", chords=((0,), (0,), (1,)))
     assert preprocess(piece).chords == ((0,), (1,))
 
 
@@ -201,11 +195,22 @@ def test_round_trip_both_formats(tmp_path):
             p.chords for p in src.pieces
         )
     # jsonl also preserves ids and bass
-    piece = Piece(id="inv", events=(((0, 4, 7), 4), ((0, 5, 9), None)))
+    piece = Piece(id="inv", chords=((0, 4, 7), (0, 5, 9)), bass=(4, None))
     path = tmp_path / "bass.jsonl"
     write_corpus(CorpusFile(pieces=(piece,)), path, fmt="jsonl")
     back = parse_corpus(path, fmt="jsonl")
     assert back.pieces[0] == piece
+
+
+def test_all_null_bass_parses_and_writes_as_none(tmp_path):
+    path = tmp_path / "nulls.jsonl"
+    write_lines(path, ['{"id": "a", "chords": [[0, 4, 7], [5, 9, 0]],'
+                       ' "bass": [null, null]}'])
+    piece = parse_corpus(path, fmt="jsonl").pieces[0]
+    assert piece == Piece(id="a", chords=((0, 4, 7), (0, 5, 9)))
+    write_corpus(CorpusFile(pieces=(piece,)), path, fmt="jsonl")
+    assert json.loads(path.read_text(encoding="utf-8")) == {
+        "id": "a", "chords": [[0, 4, 7], [0, 5, 9]]}
 
 
 def test_label_map_ingestion(tmp_path):
@@ -369,7 +374,7 @@ def test_collapse_equals_eventwise_reference(alphabet, pieces):
         start_total.update(start)
         trans_total.update(trans)
         assert got.piece_ids == (piece.id,)
-        assert got.n_events == len(piece.events)
+        assert got.n_events == len(piece.chords)
         # the same counts, keys in sorted order, as Python ints
         assert list(got.start.items()) == sorted(start.items())
         assert list(got.trans.items()) == sorted(trans.items())
@@ -378,7 +383,7 @@ def test_collapse_equals_eventwise_reference(alphabet, pieces):
         assert all(type(v) is int for v in (*got.start.values(), *got.trans.values()))
     assert list(cc.start.items()) == sorted(start_total.items())
     assert list(cc.trans.items()) == sorted(trans_total.items())
-    assert cc.n_events == sum(len(p.events) for p in corpus.pieces)
+    assert cc.n_events == sum(len(p.chords) for p in corpus.pieces)
 
 
 def _same_statistics(a, b):
