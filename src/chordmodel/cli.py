@@ -284,6 +284,14 @@ def _finite(ctx, param, value: float) -> float:
     return value
 
 
+def _existing_parent(ctx, param, value: str | None) -> str | None:
+    """Click callback: reject an output path whose directory does not exist,
+    before the command computes anything it could not write."""
+    if value is not None and not Path(value).parent.is_dir():
+        raise click.BadParameter(f"directory {Path(value).parent} does not exist.")
+    return value
+
+
 @click.group()
 @click.version_option(package_name="chordmodel")
 def main() -> None:
@@ -293,7 +301,7 @@ def main() -> None:
 @main.command("features")
 @click.argument("corpus_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None,
-              help="CSV destination (default: stdout).")
+              callback=_existing_parent, help="CSV destination (default: stdout).")
 @_corpus_options
 @_spectrum_options
 def cmd_features(corpus_path, output, corpus_format, label_map,
@@ -317,7 +325,7 @@ def cmd_features(corpus_path, output, corpus_format, label_map,
 @main.command("fit")
 @click.argument("corpus_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None,
-              help="JSON destination (default: stdout).")
+              callback=_existing_parent, help="JSON destination (default: stdout).")
 @click.option("--features", "features_spec", default=None,
               help="Comma-separated active features, or 'none' for the "
                    "uniform null model (default: all four).")
@@ -356,6 +364,7 @@ def cmd_fit(corpus_path, output, features_spec, ridge, corpus_format, label_map,
 @main.command("importance")
 @click.argument("corpus_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--output", "output_prefix", default=None,
+              callback=_existing_parent,
               help="Output prefix; writes PREFIX.json and PREFIX.csv, plus "
                    "PREFIX.pieces.csv with --per-piece (default: JSON to "
                    "stdout).")
@@ -451,6 +460,8 @@ def _weights_from_file(path: str) -> np.ndarray:
         obj = json.loads(Path(path).read_text(encoding="utf-8-sig"), parse_int=float)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"cannot read weights from {path}: {exc}")
+    except RecursionError:
+        raise click.UsageError(f"cannot read weights from {path}: JSON nested too deeply")
     if isinstance(obj, dict) and isinstance(obj.get("result"), dict):
         obj = obj["result"]
     if isinstance(obj, dict) and "weights" in obj:
@@ -480,7 +491,7 @@ def _weights_from_file(path: str) -> np.ndarray:
 @main.command("sample")
 @click.argument("weights_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--output", type=click.Path(dir_okay=False), required=True,
-              help="Corpus destination.")
+              callback=_existing_parent, help="Corpus destination.")
 @click.option("-n", "--pieces", "n_pieces", type=click.IntRange(min=1),
               default=1, show_default=True, help="Number of pieces to sample.")
 @click.option("--length", type=click.IntRange(min=1), default=10,
@@ -496,6 +507,11 @@ def cmd_sample(weights_path, output, n_pieces, length, seed, corpus_format,
     """Sample a synthetic corpus from a weights JSON file."""
     weights = _weights_from_file(weights_path)
     space = _build_space(rho, sigma, harmonics, bins, q_literal, cache_dir)
+    # bounds every score and partial sum of the sampler's weighted tables
+    largest = sum(abs(w) * float(np.abs(t).max())
+                  for w, t in zip(weights.tolist(), space.standardized))
+    if not math.isfinite(largest):
+        raise click.UsageError("weights too large: a weighted feature sum overflows")
     model = EnergyModel(space, weights=weights)
     rng = np.random.default_rng(seed)
     pieces = tuple(Piece(f"sample-{i:04d}", sample_sequence(model, length, rng))

@@ -84,6 +84,8 @@ def load_label_map(path: str | Path) -> dict[str, PcSet]:
     except ValueError as exc:  # also an integer past Python's digit limit
         raise CorpusFormatError(
             f"{path.name}: invalid JSON ({getattr(exc, 'msg', exc)})")
+    except RecursionError:
+        raise CorpusFormatError(f"{path.name}: invalid JSON (nested too deeply)")
     if not isinstance(obj, dict) or not obj:
         raise CorpusFormatError(
             f"{path.name}: expected a non-empty object mapping labels to"
@@ -130,6 +132,8 @@ def _parse_jsonl_line(line: str, where: str, valid: dict[str, PcSet]) -> Piece:
         obj = json.loads(line)
     except ValueError as exc:  # also an integer past Python's digit limit
         raise CorpusFormatError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})")
+    except RecursionError:
+        raise CorpusFormatError(f"{where}: invalid JSON (nested too deeply)")
     if not isinstance(obj, dict) or "id" not in obj or "chords" not in obj:
         raise CorpusFormatError(f'{where}: expected an object with "id" and "chords"')
     piece_id = obj["id"]

@@ -33,6 +33,8 @@ from chordmodel.features import FEATURE_NAMES
 from chordmodel.model import (
     EnergyModel,
     _RowStatistics,
+    _scores,
+    _softmax,
     corpus_cost,
     corpus_gradient,
     sample_sequence,
@@ -358,6 +360,29 @@ def reference_sample_sequence(model, length: int, rng) -> tuple:
         ctx_id = int(rng.choice(len(al), p=probs))
         chords.append(al[ctx_id])
     return tuple(chords)
+
+
+def reference_evaluate(stats: _RowStatistics, w, active, ridge):
+    """model._evaluate as one pass over all rows at once: R x n_chords
+    temporaries for the scores, the probabilities and each Hessian product."""
+    tables = [stats.tables[k] for k in active]
+    top, z, probs = _softmax(_scores(stats.tables, w, active))
+    counts = stats.counts if len(probs) > 1 else stats.counts.sum(keepdims=True)
+    w_active = w[active]
+    data_cost = float(np.sum(counts * (top[:, 0] + np.log(z)))) - float(
+        np.sum(w_active * stats.observed[active])
+    )
+    means = [np.einsum("ij,ij->i", probs, t) for t in tables]
+    grad = np.array([np.sum(counts * m) for m in means]) - stats.observed[active]
+    hess = np.empty((len(active), len(active)))
+    for a, ta in enumerate(tables):
+        for b in range(a, len(active)):
+            second = np.sum(counts * np.einsum("ij,ij->i", probs, ta * tables[b]))
+            hess[a, b] = hess[b, a] = second - np.sum(counts * means[a] * means[b])
+    cost = data_cost + 0.5 * ridge * float(np.sum(w_active * w_active))
+    grad = grad + ridge * w_active
+    hess[np.diag_indices_from(hess)] += ridge
+    return data_cost, cost, grad, hess
 
 
 def naive_cost_gradient(corpus: CorpusFile, space, weights):

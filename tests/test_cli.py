@@ -24,6 +24,7 @@ from chordmodel import cli
 from chordmodel.cli import RunConfig, main
 from chordmodel.corpus import load_label_map, parse_corpus, preprocess_corpus
 from chordmodel.features import FEATURE_NAMES, get_feature_space
+from chordmodel.model import EnergyModel, sample_sequence
 from chordmodel.spectrum import SpectrumParams
 
 from conftest import CACHE_DIR
@@ -617,6 +618,9 @@ def test_sample_rejects_bad_weights(runner, tmp_path):
         ('{"chord_size": "0.5"}', "weights must be numbers"),
         ('{"weights": {"harmonicity": false}}', "weights must be numbers"),
         ("[1, 2, 3, NaN]", "weights must be finite"),
+        # finite, but w * table overflows to inf
+        ("[1e308, 0, 0, 0]", "weights too large"),
+        ("[0, 0, -1e308, 0]", "weights too large"),
         (f"[1, 2, 3, {'9' * 400}]", "weights must be finite"),
         ("{nope", "cannot read weights"),
     ]:
@@ -626,6 +630,21 @@ def test_sample_rejects_bad_weights(runner, tmp_path):
         )
         assert result.exit_code == 2, content
         assert fragment in result.output
+
+
+def test_sample_accepts_large_finite_weight_sums(runner, space, tmp_path):
+    """Weights whose weighted feature sums stay finite sample as the library
+    does, here the near-deterministic draws of huge context-free weights."""
+    weights = tmp_path / "w.json"
+    weights.write_text("[1e200, 1e200, 0, 0]", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    result = run(runner, *cached("sample", weights, "-o", out, "--length", "5",
+                                 "--seed", "3"))
+    assert result.exit_code == 0, result.output
+    model = EnergyModel(space, weights=np.array([1e200, 1e200, 0.0, 0.0]))
+    chords = sample_sequence(model, 5, np.random.default_rng(3))
+    assert out.read_text(encoding="utf-8") == " ".join(
+        ",".join(map(str, c)) for c in chords) + "\n"
 
 
 @pytest.mark.parametrize("bad, args", [
@@ -671,6 +690,51 @@ def test_oversized_json_integer_is_a_usage_error(runner, tmp_path, monkeypatch,
     result = run(runner, *cached(*args))
     assert result.exit_code == 2
     assert bad in result.output
+
+
+@pytest.mark.parametrize("bad, args", [
+    ("c.jsonl", ["fit", "c.jsonl"]),
+    ("labels.json", ["fit", "c.txt", "--label-map", "labels.json"]),
+    ("w.json", ["sample", "w.json", "-o", "out.txt"]),
+])
+def test_deeply_nested_json_is_a_usage_error(runner, tmp_path, monkeypatch,
+                                             bad, args):
+    # far deeper than Python's recursion limit, where json.loads gives up
+    deep = "[" * 100_000 + "]" * 100_000
+    files = {
+        "c.txt": "I IV\n",
+        "c.jsonl": f'{{"id": "a", "chords": {deep}}}\n',
+        "labels.json": f'{{"I": [0, 4, 7], "IV": {deep}}}',
+        "w.json": deep,
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    result = run(runner, *cached(*args))
+    assert result.exit_code == 2
+    assert bad in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["fit", "c.txt", "-o", "nodir/f.json"],
+    ["features", "c.txt", "-o", "nodir/f.csv"],
+    ["importance", "c.txt", "--bootstrap", "2", "-o", "nodir/p"],
+    ["sample", "w.json", "-o", "nodir/s.txt"],
+])
+def test_missing_output_directory_is_a_usage_error(runner, tmp_path, monkeypatch,
+                                                   args):
+    (tmp_path / "c.txt").write_text(PLAIN_CORPUS + "\n", encoding="utf-8")
+    (tmp_path / "w.json").write_text("[0.5, 0, 0, 0]", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+
+    def no_work(*args):
+        pytest.fail("the command started work before checking its output path")
+
+    monkeypatch.setattr(cli, "_build_space", no_work)
+    result = run(runner, *args)
+    assert result.exit_code == 2
+    assert "nodir" in result.output
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_unusable_cache_dir_is_a_usage_error(runner, corpus_file, tmp_path):

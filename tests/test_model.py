@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from chordmodel.model import (
     GRADIENT_TOL,
     EnergyModel,
     _corpus_terms,
+    _evaluate,
+    _row_tables,
+    _RowStatistics,
     _scores,
     _softmax,
     _statistics,
@@ -37,6 +41,7 @@ from helpers import (
     diatonic_corpus,
     make_corpus,
     naive_cost_gradient,
+    reference_evaluate,
     reference_sample_sequence,
     sampled_corpus,
 )
@@ -335,6 +340,53 @@ def test_edge_rows_score_as_absolute_rows(space, ctx):
         assert conditional_distribution(ctx, model).tobytes() == want.tobytes()
         for j in (0, 1000, 4094):
             assert energy(ctx, al[j], model) == -float(scores[j])
+
+
+def _row_subset_statistics(space, n_rows, seed) -> _RowStatistics:
+    """Statistics over n_rows random table rows (the start row -1 among the
+    candidates) with random counts and observed sums."""
+    rng = np.random.default_rng(seed)
+    n_table_rows = space.alphabet.n_classes + 1
+    rows = np.sort(rng.choice(np.arange(-1, n_table_rows - 1), n_rows, replace=False))
+    return _RowStatistics(rng.integers(1, 1000, n_rows).astype(float),
+                          rng.normal(0.0, 100.0, space.n_features),
+                          _row_tables(space, rows), len(space.alphabet))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # one block, the edges of the first and second block, and many blocks
+    n_rows=st.sampled_from([1, 15, 16, 17, 33, 300, 352]),
+    seed=st.integers(0, 2**32 - 1),
+    # every non-empty mask; 1, 2 and 3 hold context-free features only
+    mask=st.integers(1, 15).map(
+        lambda m: np.array([m >> k & 1 for k in range(4)], dtype=bool)),
+    weights=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+    ridge=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+)
+def test_evaluate_equals_one_pass_reference(space, n_rows, seed, mask, weights, ridge):
+    """_evaluate in row blocks is, bit for bit, one pass over all rows."""
+    stats = _row_subset_statistics(space, n_rows, seed)
+    w = np.where(mask, weights, 0.0)
+    active = np.flatnonzero(mask)
+    data_cost, cost, grad, hess = _evaluate(stats, w, active, ridge)
+    want = reference_evaluate(stats, w, active, ridge)
+    assert data_cost == want[0] and cost == want[1]
+    assert np.array_equal(grad, want[2]) and np.array_equal(hess, want[3])
+
+
+def test_evaluate_memory_does_not_grow_with_rows(space):
+    """One evaluation at 336 rows allocates a few blocks' worth of
+    temporaries, not R x n_chords arrays (one of those is 11 MB)."""
+    stats = _row_subset_statistics(space, 336, seed=0)
+    active = np.flatnonzero(full_mask())
+    tracemalloc.start()
+    try:
+        _evaluate(stats, WEIGHTS, active, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_sampler_draws_as_the_naive_reference(space):
