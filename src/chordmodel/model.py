@@ -19,7 +19,9 @@ counts are the nonzero column totals of the corpus's count matrix. Every
 sub-model of an importance nest is fitted from the same statistics object
 with its own feature mask. Cost, gradient (expected minus
 observed feature sums) and Hessian (count-weighted feature covariances)
-come from one vectorised pass over those rows. Every sum over rows, groups
+come from per-row quantities computed in fixed blocks of ROW_BLOCK rows, so
+the memory of one evaluation does not grow with the row count; the
+count-weighted sums then run once over all rows. Every sum over rows, groups
 or chords is a numpy reduction in a fixed order rather than a BLAS product,
 so results are bit-identical across reruns and across BLAS thread counts.
 
@@ -47,7 +49,8 @@ from .pcset import PcSet, as_pcset
 GRADIENT_TOL = 1e-6
 MAX_ITERATIONS = 500
 # rows per block of _evaluate: 16 x 4,095 float64 is 512 KB per temporary,
-# which stays in L2 cache; 8 and 16 were fastest at 198 rows, 32 and 64 slower
+# which stays in L2 cache; blocks of 8 and 16 rows were fastest at 198-336
+# rows, 32 and 64 up to 1.4x slower
 ROW_BLOCK = 16
 
 

@@ -7,7 +7,9 @@ not tautology. The harmonicity oracle evaluates the virtual-pitch profile one
 bin at a time with an explicit cosine, no FFT. The naive model oracle
 evaluates one softmax per event with no transposition grouping, and the
 reference fit reaches the optimum with scipy's generic optimizers instead of
-the package's Newton solver.
+the package's Newton solver. reference_evaluate is the model's evaluation
+as one pass over all context rows, which the row-block version must equal
+bit for bit.
 """
 
 from __future__ import annotations

@@ -346,8 +346,8 @@ def _row_subset_statistics(space, n_rows, seed) -> _RowStatistics:
     """Statistics over n_rows random table rows (the start row -1 among the
     candidates) with random counts and observed sums."""
     rng = np.random.default_rng(seed)
-    n_table_rows = space.alphabet.n_classes + 1
-    rows = np.sort(rng.choice(np.arange(-1, n_table_rows - 1), n_rows, replace=False))
+    rows = np.sort(rng.choice(np.arange(-1, space.alphabet.n_classes), n_rows,
+                              replace=False))
     return _RowStatistics(rng.integers(1, 1000, n_rows).astype(float),
                           rng.normal(0.0, 100.0, space.n_features),
                           _row_tables(space, rows), len(space.alphabet))
