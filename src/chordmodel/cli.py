@@ -507,12 +507,10 @@ def cmd_sample(weights_path, output, n_pieces, length, seed, corpus_format,
     """Sample a synthetic corpus from a weights JSON file."""
     weights = _weights_from_file(weights_path)
     space = _build_space(rho, sigma, harmonics, bins, q_literal, cache_dir)
-    # bounds every score and partial sum of the sampler's weighted tables
-    largest = sum(abs(w) * float(np.abs(t).max())
-                  for w, t in zip(weights.tolist(), space.standardized))
-    if not math.isfinite(largest):
-        raise click.UsageError("weights too large: a weighted feature sum overflows")
-    model = EnergyModel(space, weights=weights)
+    try:
+        model = EnergyModel(space, weights=weights)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     rng = np.random.default_rng(seed)
     pieces = tuple(Piece(f"sample-{i:04d}", sample_sequence(model, length, rng))
                    for i in range(n_pieces))

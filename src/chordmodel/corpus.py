@@ -7,8 +7,9 @@ ignored:
 
 - jsonl: one JSON object per line,
   {"id": str, "chords": [[pc, ...], ...], "bass": [pc | null, ...]?}
-- plain: one piece per line, chords as comma-joined pitch classes separated
-  by spaces ("0,4,7 5,9,0"); lines starting with "#" are comments.
+- plain: one piece per line, chords as comma-joined pitch classes (ASCII
+  digits only) separated by spaces ("0,4,7 5,9,0"); lines starting with "#"
+  are comments.
 
 Corpora labelled in some chord vocabulary (roman numerals, jazz symbols,
 ...) can be ingested through a label map: a JSON object from label to
@@ -116,10 +117,12 @@ def _parse_plain_line(
         elif token in valid:
             chord = valid[token]
         else:
-            try:
-                values = [int(part) for part in token.split(",")]
-            except ValueError:
+            # ASCII digits only: int() would also take "-0", "+4", "1_1" and
+            # non-ASCII digits such as the Arabic-Indic "٣"
+            parts = token.split(",")
+            if not all(part.isascii() and part.isdigit() for part in parts):
                 raise CorpusFormatError(f"{where}: malformed chord token {token!r}")
+            values = [int(part) for part in parts]
             chord = valid[token] = _validated_chord(values, f"{where}: token {token!r}")
         chords.append(chord)
     if not chords:

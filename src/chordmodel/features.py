@@ -25,6 +25,7 @@ import hashlib
 import math
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,12 @@ class FeatureSpace:
     @property
     def n_features(self) -> int:
         return len(self.standardized)
+
+    @cached_property
+    def table_bounds(self) -> tuple[float, ...]:
+        """max |table| of each standardized table, computed on first use
+        (by EnergyModel) and without a table-sized temporary."""
+        return tuple(max(float(t.max()), -float(t.min())) for t in self.standardized)
 
     def _cached_vl_matrix(self, cache_dir: str | Path | None) -> np.ndarray:
         """The pinned voice-leading matrix, read from or saved to

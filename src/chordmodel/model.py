@@ -28,6 +28,11 @@ so results are bit-identical across reruns and across BLAS thread counts.
 Fitting and sampling share one kernel, _scores then _softmax on class-row
 tables; sampling reads a context's row in chord-id order through
 corpus.relative_ids, so it draws from exactly the conditional a fit evaluates.
+The sampler walks chord ids, not pitch-class sets, and draws each chord by
+inverse CDF over that chord-id-ordered row with one uniform per chord, the
+arithmetic of numpy's Generator.choice, so its draws are choice's draws.
+EnergyModel rejects weights whose weighted tables could overflow, so no
+score is inf or NaN.
 
 The cost is convex in the weights. Fitting finds its minimum (optionally
 ridge-penalized) by damped Newton from w = 0, the textbook fit of a
@@ -89,6 +94,13 @@ class EnergyModel:
             raise ValueError(f"expected {n} weights")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
+        # bounds every score and partial sum of the weighted tables, and its
+        # double bounds a score minus its row maximum; Python floats
+        # overflow to inf without a warning
+        largest = sum(abs(w) * bound for w, bound in zip(
+            self.effective_weights.tolist(), self.space.table_bounds, strict=True))
+        if not math.isfinite(2.0 * largest):
+            raise ValueError("weights too large: a weighted feature sum overflows")
 
     @property
     def effective_weights(self) -> np.ndarray:
@@ -142,11 +154,13 @@ def _statistics(space: FeatureSpace, corpus: CollapsedCorpus) -> _RowStatistics:
                           len(space.alphabet))
 
 
-def _scores(tables, w: np.ndarray, active: np.ndarray) -> np.ndarray:
+def _scores(tables, w: np.ndarray, active: np.ndarray,
+            start: np.ndarray | None = None) -> np.ndarray:
     """Scores (negated energies) per row and chord: w[k] * tables[k] summed
-    over the active k in order, starting from a zero row."""
-    return sum((w[k] * tables[k] for k in active),
-               np.zeros((1, tables[0].shape[1])))
+    over the active k in order, starting from start (default a zero row)."""
+    if start is None:
+        start = np.zeros((1, tables[0].shape[1]))
+    return sum((w[k] * tables[k] for k in active), start)
 
 
 def _softmax(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -395,13 +409,33 @@ def _newton(
 def sample_sequence(
     model: EnergyModel, length: int, rng: np.random.Generator
 ) -> tuple[PcSet, ...]:
-    """Ancestral sample of one chord sequence through the chain factorization."""
+    """Ancestral sample of one chord sequence through the chain factorization.
+
+    Each chord is drawn by inverse CDF from its context's conditional in
+    chord-id order, with one rng.random() per chord: the arithmetic of
+    Generator.choice(n_chords, p=conditional), so the draws are its draws.
+    The chain walks chord ids; the leading context-free terms of the scores
+    are summed once, as the start of every step's _scores sum, so each step
+    scores exactly the row conditional_distribution scores.
+    """
     if length < 1:
         raise ValueError("sequence length must be at least 1")
-    al = model.space.alphabet
-    chords: list[PcSet] = []
-    ctx: PcSet | None = None
+    space, al = model.space, model.space.alphabet
+    w, active = model.effective_weights, np.flatnonzero(model.feature_mask)
+    n_free = next((i for i, k in enumerate(active)
+                   if space.standardized[k].ndim > 1), len(active))
+    context_free = _scores(_row_tables(space, (-1, None)), w, active[:n_free])
+    tolerance = math.sqrt(np.finfo(float).eps)
+    ids: list[int] = []
+    row, order = -1, slice(None)  # the start context
     for _ in range(length):
-        ctx = al[int(rng.choice(len(al), p=conditional_distribution(ctx, model)))]
-        chords.append(ctx)
-    return tuple(chords)
+        scores = _scores(_row_tables(space, (row, None)), w, active[n_free:],
+                         context_free)
+        cdf = _softmax(scores)[2][0, order].cumsum()
+        if not abs(cdf[-1] - 1.0) <= tolerance:  # also NaN and inf
+            raise ValueError(f"conditional sums to {cdf[-1]!r}, not 1")
+        cdf /= cdf[-1]
+        chord_id = int(cdf.searchsorted(rng.random(), side="right"))
+        ids.append(chord_id)
+        row, order = al.rep_row[chord_id], relative_ids(chord_id, slice(None), al)
+    return tuple(al[i] for i in ids)

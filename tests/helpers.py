@@ -9,7 +9,8 @@ evaluates one softmax per event with no transposition grouping, and the
 reference fit reaches the optimum with scipy's generic optimizers instead of
 the package's Newton solver. reference_evaluate is the model's evaluation
 as one pass over all context rows, which the row-block version must equal
-bit for bit.
+bit for bit. choice_sample_sequence is the sampler that drew each chord with
+Generator.choice, which the inverse-CDF sampler must equal draw for draw.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from chordmodel.model import (
     _RowStatistics,
     _scores,
     _softmax,
+    conditional_distribution,
     corpus_cost,
     corpus_gradient,
     sample_sequence,
@@ -364,6 +366,18 @@ def reference_sample_sequence(model, length: int, rng) -> tuple:
     return tuple(chords)
 
 
+def choice_sample_sequence(model, length: int, rng) -> tuple:
+    """The sampler as it was before it drew by inverse CDF: chord by chord
+    through PcSets, conditional_distribution and rng.choice."""
+    al = model.space.alphabet
+    chords = []
+    ctx = None
+    for _ in range(length):
+        ctx = al[int(rng.choice(len(al), p=conditional_distribution(ctx, model)))]
+        chords.append(ctx)
+    return tuple(chords)
+
+
 def reference_evaluate(stats: _RowStatistics, w, active, ridge):
     """model._evaluate as one pass over all rows at once: R x n_chords
     temporaries for the scores, the probabilities and each Hessian product."""
@@ -445,4 +459,5 @@ def duplicate_feature(space, index: int, name: str):
     dup = copy.copy(space)
     dup.standardized = tuple(space.standardized) + (space.standardized[index],)
     dup.feature_names = tuple(space.feature_names) + (name,)
+    dup.__dict__.pop("table_bounds", None)  # bounds of the original tables
     return dup

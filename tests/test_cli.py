@@ -647,6 +647,45 @@ def test_sample_accepts_large_finite_weight_sums(runner, space, tmp_path):
         ",".join(map(str, c)) for c in chords) + "\n"
 
 
+GOLDEN_WEIGHTS = {"weights": {"chord_size": -0.3, "harmonicity": 0.5,
+                              "spectral_distance": -0.5,
+                              "voice_leading_distance": -1.0}}
+# `sample -n 3 --length 8 --seed 5` from GOLDEN_WEIGHTS, written by the
+# sampler that drew each chord with Generator.choice
+GOLDEN_PLAIN = """\
+0,3,4,8,9,10,11 3,4,5,7,9,10,11 2,4,6,9,10,11 2,4,6,9,11 0,2,7,9 0,2,5,7,9 2,5,7,10,11 0,1,6,8
+0,4,9 0,1,3,4,5,7,8,9,10,11 0,1,2,3,4,7,9,10 3,4,6,9,11 4,5,7,9,11 0,1,2,4,5,6,7,9,11 0,1,2,3,5,6,7,10,11 1,2,3,4,6,7,10,11
+1,2,5,6,11 0,1,2,5,7,10 0,1,2,5,7,8,10 1,2,5,8 0,1,2,5,6,9 1,2,5,6,9 2,5,6,7,9,10,11 2,4,9,11
+"""
+GOLDEN_JSONL = """\
+{"id":"sample-0000","chords":[[0,3,4,8,9,10,11],[3,4,5,7,9,10,11],[2,4,6,9,10,11],[2,4,6,9,11],[0,2,7,9],[0,2,5,7,9],[2,5,7,10,11],[0,1,6,8]]}
+{"id":"sample-0001","chords":[[0,4,9],[0,1,3,4,5,7,8,9,10,11],[0,1,2,3,4,7,9,10],[3,4,6,9,11],[4,5,7,9,11],[0,1,2,4,5,6,7,9,11],[0,1,2,3,5,6,7,10,11],[1,2,3,4,6,7,10,11]]}
+{"id":"sample-0002","chords":[[1,2,5,6,11],[0,1,2,5,7,10],[0,1,2,5,7,8,10],[1,2,5,8],[0,1,2,5,6,9],[1,2,5,6,9],[2,5,6,7,9,10,11],[2,4,9,11]]}
+"""
+
+
+@pytest.mark.parametrize("fmt, golden", [("plain", GOLDEN_PLAIN),
+                                         ("jsonl", GOLDEN_JSONL)],
+                         ids=["plain", "jsonl"])
+def test_sample_bytes_are_pinned(runner, tmp_path, fmt, golden):
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps(GOLDEN_WEIGHTS), encoding="utf-8")
+    out = tmp_path / f"out.{fmt}"
+    result = run(runner, *cached("sample", weights, "-o", out, "-n", 3,
+                                 "--length", 8, "--seed", 5, "--format", fmt))
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == golden.encode("ascii")
+
+
+@pytest.mark.parametrize("token", ["-0", "+4", "\u0663"])
+def test_non_ascii_digit_token_is_a_usage_error(runner, tmp_path, token):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(f"0,4,7 5,9,0\n0,4,7 {token},4,7\n", encoding="utf-8")
+    result = run(runner, "fit", corpus)
+    assert result.exit_code == 2
+    assert f"c.txt:2: malformed chord token {token + ',4,7'!r}" in result.output
+
+
 @pytest.mark.parametrize("bad, args", [
     ("c.txt", ["fit", "c.txt"]),
     ("c.jsonl", ["features", "c.jsonl"]),

@@ -149,6 +149,16 @@ def test_plain_errors(tmp_path):
         parse_corpus(p, fmt="plain")
 
 
+@pytest.mark.parametrize("token", ["-0", "+4", "0,+4,7", "1_1", "\u0663", "\uff14"])
+def test_plain_tokens_take_ascii_digits_only(tmp_path, token):
+    """int() reads each of these tokens as a pitch class; the parser does not."""
+    p = tmp_path / "bad.txt"
+    write_lines(p, ["0,4,7", f"5,9,0 {token}"])
+    with pytest.raises(CorpusFormatError) as err:
+        parse_corpus(p, fmt="plain")
+    assert str(err.value) == f"bad.txt:2: malformed chord token {token!r}"
+
+
 def test_duplicate_piece_id(tmp_path):
     p = tmp_path / "dup.jsonl"
     write_lines(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from chordmodel.pcset import enumerate_alphabet
 from helpers import (
     absolute_rows,
     bfgs_reference_fit,
+    choice_sample_sequence,
     collapsed,
     diatonic_corpus,
     make_corpus,
@@ -397,6 +399,51 @@ def test_sampler_draws_as_the_naive_reference(space):
         for seed in range(10):
             assert sample_sequence(model, 60, np.random.default_rng(seed)) == \
                 reference_sample_sequence(model, 60, np.random.default_rng(seed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    weights=st.lists(st.one_of(st.just(0.0), st.sampled_from([-4.0, 4.0]),
+                               st.floats(-4.0, 4.0)), min_size=4, max_size=4),
+    mask=st.integers(1, 15).map(
+        lambda m: np.array([m >> k & 1 for k in range(4)], dtype=bool)),
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(1, 80),
+)
+def test_sampler_draws_as_generator_choice(space, weights, mask, seed, length):
+    """The inverse-CDF sampler draws, chord for chord, what Generator.choice
+    drew from the same conditionals and the same seed."""
+    model = EnergyModel(space, weights=np.array(weights), feature_mask=mask)
+    assert sample_sequence(model, length, np.random.default_rng(seed)) == \
+        choice_sample_sequence(model, length, np.random.default_rng(seed))
+
+
+def test_sampler_rejects_a_conditional_that_does_not_sum_to_one(space):
+    """The guard Generator.choice gave: weights that overflow after the model
+    was built make the conditional NaN, which must not be sampled from."""
+    model = EnergyModel(space, weights=WEIGHTS)
+    model.weights = np.array([1e308, 0.0, 0.0, 0.0])
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="sums to"):
+        sample_sequence(model, 3, np.random.default_rng(0))
+
+
+def test_model_rejects_weights_whose_feature_sums_overflow(space):
+    """Finite weights whose weighted tables, or a score minus its row
+    maximum, overflow raise at construction, before any arithmetic could
+    warn; weights just inside the bound sample without a warning."""
+    size_bound = space.table_bounds[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for weights in ([1e308, 0, 0, 0], [0, 0, -1e308, 0], [0, 1e308, 0, 1e308],
+                        [1.5e308 / size_bound, 0, 0, 0]):
+            with pytest.raises(ValueError, match="weights too large"):
+                EnergyModel(space, weights=np.array(weights, dtype=float))
+        for weights in ([1e200, 1e200, 0.0, 0.0], [0.8e308 / size_bound, 0, 0, 0]):
+            model = EnergyModel(space, weights=np.array(weights))
+            sample_sequence(model, 3, np.random.default_rng(0))
+        # a masked-out weight is pinned to 0 and cannot overflow
+        EnergyModel(space, weights=np.array([1e308, 0.0, 0.0, 0.0]),
+                    feature_mask=np.array([False, True, True, True]))
 
 
 def test_sample_sequence_is_deterministic_per_seed(space):
