@@ -71,6 +71,9 @@ IMPORTANCE_CSV_COLUMNS = (
     "oriented_upper",
 )
 PIECE_CSV_COLUMNS = ("piece_id", "feature", "measure", "value", "oriented_value")
+# The most transition groups whose features text one dump keeps; an entry
+# measured about 275 B, so the memo stays under about 4.5 MB.
+FEATURES_MEMO_LIMIT = 2**14
 
 
 @dataclass(frozen=True)
@@ -225,55 +228,62 @@ def _write_features(fh, space: FeatureSpace, corpus: CorpusFile,
                     config: RunConfig) -> None:
     """Write the features CSV, one piece at a time.
 
-    The rows are those of FeatureSpace.raw_transition_values and
-    TransitionFeatureStats.standardize, read from the space's tables a
-    piece at a time. Text that depends on the continuation alone is
-    formatted once per chord, and voice-leading text once per distance.
+    The bytes are those of tests/helpers.features_csv_reference, which
+    formats every event on its own; here the values are read from the
+    space's tables a piece at a time. Text that depends on the continuation
+    alone is formatted once per chord. The distance text is formatted once
+    per transition group (class row, relative id) for the first
+    FEATURES_MEMO_LIMIT groups met, and past that limit at every event of a
+    new group, the voice-leading part still once per distance.
     """
     _csv_header(fh, FEATURE_CSV_COLUMNS, config)
     al = space.alphabet
+    n_chords = len(al)
     size_z, harmonicity_z, spectral_z, vl_z = space.standardized
     # chord id -> (quoted name, "name,size,harmonicity" raw, "size,harmonicity"
     # standardized)
     chord_text: dict[int, tuple[str, str, str]] = {}
-    vl_text: dict[float, tuple[str, str]] = {}  # raw distance -> (raw, std)
+    # row * n_chords + relative id, the group's flat index into the class
+    # rows -> ("spectral,vl" raw, "spectral,vl" std)
+    group_text: dict[int, tuple[str, str]] = {}
+    vl_text: dict[int, tuple[str, str]] = {}  # raw distance -> (raw, std)
     mean = space.stats.mean
     # start events impute the population mean, which standardizes to 0
     start_raw = f"{float(mean[2])!r},{float(mean[3])!r}"
 
     def chord(j: int) -> tuple[str, str, str]:
-        if j not in chord_text:
-            name = _csv_field(format_pcset(al[j]))
-            size, harmonicity = float(al.sizes[j]), float(space.table.normalized[j])
-            chord_text[j] = (
-                name,
-                f"{name},{size!r},{harmonicity!r}",
-                f"{float(size_z[j])!r},{float(harmonicity_z[j])!r}",
-            )
+        name = _csv_field(format_pcset(al[j]))
+        size, harmonicity = float(al.sizes[j]), float(space.table.normalized[j])
+        chord_text[j] = (
+            name,
+            f"{name},{size!r},{harmonicity!r}",
+            f"{float(size_z[j])!r},{float(harmonicity_z[j])!r}",
+        )
         return chord_text[j]
 
+    def group(key: int) -> tuple[str, str]:
+        vl = space.vl_matrix.item(key)
+        if vl not in vl_text:
+            vl_text[vl] = (repr(float(vl)), repr(vl_z.item(key)))
+        vl_raw, vl_std = vl_text[vl]
+        text = (f"{space.spectral_matrix.item(key)!r},{vl_raw}",
+                f"{spectral_z.item(key)!r},{vl_std}")
+        if len(group_text) < FEATURES_MEMO_LIMIT:
+            group_text[key] = text
+        return text
+
     for piece in corpus.pieces:
-        ids = np.array([al.id_of(c) for c in piece.chords], dtype=np.int64)
+        ids = al.ids_of(piece.chords)
         piece_id = _csv_field(piece.id)
-        name, head, tail = chord(int(ids[0]))
+        first = int(ids[0])
+        name, head, tail = chord_text.get(first) or chord(first)
         lines = [f"{piece_id},,{head},{start_raw},{tail},0.0,0.0\r\n"]
         rows, rels = transition_classes(ids, al)
-        for cur, spectral, spectral_std, vl, vl_std in zip(
-            ids[1:].tolist(),
-            space.spectral_matrix[rows, rels].tolist(),
-            spectral_z[rows, rels].tolist(),
-            space.vl_matrix[rows, rels].astype(float).tolist(),
-            vl_z[rows, rels].tolist(),
-        ):
-            if vl not in vl_text:
-                vl_text[vl] = (repr(vl), repr(vl_std))
-            vl_raw, vl_std_text = vl_text[vl]
+        for cur, key in zip(ids[1:].tolist(), (rows * n_chords + rels).tolist()):
+            raw, std = group_text.get(key) or group(key)
             prev_name = name
-            name, head, tail = chord(cur)
-            lines.append(
-                f"{piece_id},{prev_name},{head},{spectral!r},{vl_raw},"
-                f"{tail},{spectral_std!r},{vl_std_text}\r\n"
-            )
+            name, head, tail = chord_text.get(cur) or chord(cur)
+            lines.append(f"{piece_id},{prev_name},{head},{raw},{tail},{std}\r\n")
         fh.write("".join(lines))
 
 

@@ -349,8 +349,7 @@ def collapse(
     """Collapse a preprocessed corpus into per-piece group counts."""
     alphabet = alphabet or enumerate_alphabet()
     lengths = [len(p.chords) for p in corpus.pieces]
-    ids = np.array([alphabet.id_of(c) for p in corpus.pieces for c in p.chords],
-                   dtype=np.int64)
+    ids = alphabet.ids_of([c for p in corpus.pieces for c in p.chords])
     piece_of = np.repeat(np.arange(len(lengths)), lengths)
     # start codes, then transition codes for events after one of their piece
     codes = alphabet.rep_ids[alphabet.rep_row[ids]]

@@ -198,25 +198,29 @@ def conditional_distribution(ctx: PcSet | None, model: EnergyModel) -> np.ndarra
     return _softmax(scores)[2][0, order]
 
 
-def _row_moments(tables, w: np.ndarray, active: np.ndarray) -> list:
+def _row_moments(tables, w: np.ndarray, active: np.ndarray,
+                 hessian: bool = True) -> list:
     """Per-row quantities of the rows the tables hold: the row maxima, the
-    row sums z, each active feature's mean and each pair's second moment
-    (a <= b, row-major), all under the rows' softmax."""
+    row sums z, each active feature's mean and, with hessian, each pair's
+    second moment (a <= b, row-major), all under the rows' softmax."""
     tables_active = [tables[k] for k in active]
     top, z, probs = _softmax(_scores(tables, w, active))
     means = [np.einsum("ij,ij->i", probs, t) for t in tables_active]
     seconds = [np.einsum("ij,ij->i", probs, ta * tables_active[b])
                for a, ta in enumerate(tables_active)
-               for b in range(a, len(active))]
+               for b in range(a, len(active))] if hessian else []
     return [top[:, 0], z, *means, *seconds]
 
 
 def _evaluate(
-    stats: _RowStatistics, w: np.ndarray, active: np.ndarray, ridge: float
-) -> tuple[float, float, np.ndarray, np.ndarray]:
+    stats: _RowStatistics, w: np.ndarray, active: np.ndarray, ridge: float,
+    hessian: bool = True,
+) -> tuple[float, float, np.ndarray, np.ndarray | None]:
     """Data cost, penalized cost, gradient and Hessian at weights w.
 
-    Gradient and Hessian cover the active features only. When every active
+    Gradient and Hessian cover the active features only. Without hessian
+    the second moments are not formed and the Hessian is None; the other
+    three values are the same bits either way. When every active
     feature is context-free, all rows share one softmax. The per-row
     quantities are computed ROW_BLOCK rows at a time; a row's values do not
     depend on the block it falls in, so the results are those of one pass
@@ -226,11 +230,11 @@ def _evaluate(
     """
     n_rows = max(len(stats.tables[k]) for k in active)
     if n_rows <= ROW_BLOCK:
-        per_row = _row_moments(stats.tables, w, active)
+        per_row = _row_moments(stats.tables, w, active, hessian)
     else:
         blocks = [
             _row_moments(tuple(t if len(t) == 1 else t[lo:lo + ROW_BLOCK]
-                               for t in stats.tables), w, active)
+                               for t in stats.tables), w, active, hessian)
             for lo in range(0, n_rows, ROW_BLOCK)
         ]
         per_row = [np.concatenate(parts) for parts in zip(*blocks)]
@@ -242,34 +246,38 @@ def _evaluate(
         np.sum(w_active * stats.observed[active])
     )
     grad = np.array([np.sum(counts * m) for m in means]) - stats.observed[active]
+    cost = data_cost + 0.5 * ridge * float(np.sum(w_active * w_active))
+    grad = grad + ridge * w_active
+    if not hessian:
+        return data_cost, cost, grad, None
     hess = np.empty((len(active), len(active)))
     for a in range(len(active)):
         for b in range(a, len(active)):
             second = np.sum(counts * next(seconds))
             hess[a, b] = hess[b, a] = second - np.sum(counts * means[a] * means[b])
-    cost = data_cost + 0.5 * ridge * float(np.sum(w_active * w_active))
-    grad = grad + ridge * w_active
     hess[np.diag_indices_from(hess)] += ridge
     return data_cost, cost, grad, hess
 
 
-def _corpus_terms(corpus: CollapsedCorpus, model: EnergyModel, ridge: float):
+def _corpus_terms(corpus: CollapsedCorpus, model: EnergyModel, ridge: float,
+                  hessian: bool = True):
     mask = model.feature_mask
     stats = _statistics(model.space, corpus)
-    return _evaluate(stats, model.effective_weights, np.flatnonzero(mask), ridge)
+    return _evaluate(stats, model.effective_weights, np.flatnonzero(mask), ridge,
+                     hessian)
 
 
 def corpus_cost(corpus: CollapsedCorpus, model: EnergyModel,
                 ridge: float = 0.0) -> float:
     """Negative log-likelihood of the corpus in nats (plus any ridge term)."""
-    return _corpus_terms(corpus, model, ridge)[1]
+    return _corpus_terms(corpus, model, ridge, hessian=False)[1]
 
 
 def corpus_gradient(corpus: CollapsedCorpus, model: EnergyModel,
                     ridge: float = 0.0) -> np.ndarray:
     """Gradient of corpus_cost: expected minus observed feature sums."""
     grad = np.zeros(model.space.n_features)
-    grad[model.feature_mask] = _corpus_terms(corpus, model, ridge)[2]
+    grad[model.feature_mask] = _corpus_terms(corpus, model, ridge, hessian=False)[2]
     return grad
 
 
@@ -388,7 +396,8 @@ def _newton(
         # depend on where the tolerance happened to cut the iteration
         trial = weights.copy()
         trial[active] -= np.linalg.lstsq(hess, grad, rcond=None)[0]
-        terms = _evaluate(stats, trial, active, ridge)
+        # the fit ends here, so the polished point's Hessian is not needed
+        terms = _evaluate(stats, trial, active, ridge, hessian=False)
         if np.max(np.abs(terms[2])) < np.max(np.abs(grad)):
             weights = trial
             data_cost, cost, grad, hess = terms

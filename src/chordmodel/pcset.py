@@ -58,16 +58,16 @@ def pcset_to_mask(x: PcSet) -> int:
 def parse_pcset(text: str) -> PcSet:
     """Parse chord text such as "0,4,7", rejecting a repeated pitch class.
 
-    Stricter than the corpus parser, which does not call it: a plain token
-    "0,0,4" or a jsonl chord [0, 0, 4] is read there as the set {0, 4}.
+    Pitch classes are ASCII digits, as in the corpus parser's plain tokens
+    (int() would also take "-0", "+4", "1_1" and "٣"); spaces around them
+    are allowed. Stricter than the corpus parser, which does not call it: a
+    plain token "0,0,4" or a jsonl chord [0, 0, 4] is read there as the set
+    {0, 4}.
     """
     parts = [p.strip() for p in text.split(",")]
-    if any(not p for p in parts):
+    if not all(p.isascii() and p.isdigit() for p in parts):
         raise ValueError(f"malformed chord token {text!r}")
-    try:
-        members = [int(p) for p in parts]
-    except ValueError as exc:
-        raise ValueError(f"malformed chord token {text!r}") from exc
+    members = [int(p) for p in parts]
     if len(set(members)) != len(members):
         raise ValueError(f"duplicate pitch class in chord token {text!r}")
     for m in members:
@@ -164,6 +164,18 @@ class ChordAlphabet:
         if key not in self.index:
             key = as_pcset(x)
         return self.index[key]
+
+    def ids_of(self, chords: Sequence[Sequence[int]]) -> np.ndarray:
+        """Chord ids of a sequence of chords, as an int64 array.
+
+        One dict lookup per chord when every chord is a canonical PcSet;
+        otherwise every chord goes through id_of.
+        """
+        try:
+            return np.fromiter(map(self.index.__getitem__, chords),
+                               dtype=np.int64, count=len(chords))
+        except (KeyError, TypeError):
+            return np.array([self.id_of(c) for c in chords], dtype=np.int64)
 
     @property
     def n_classes(self) -> int:

@@ -22,13 +22,19 @@ from hypothesis import strategies as st
 
 from chordmodel import cli
 from chordmodel.cli import RunConfig, main
-from chordmodel.corpus import load_label_map, parse_corpus, preprocess_corpus
+from chordmodel.corpus import (
+    collapse,
+    load_label_map,
+    parse_corpus,
+    preprocess_corpus,
+    write_corpus,
+)
 from chordmodel.features import FEATURE_NAMES, get_feature_space
 from chordmodel.model import EnergyModel, sample_sequence
 from chordmodel.spectrum import SpectrumParams
 
 from conftest import CACHE_DIR
-from helpers import features_csv_reference
+from helpers import diatonic_corpus, features_csv_reference
 
 PLAIN_CORPUS = "\n".join(
     [
@@ -292,6 +298,21 @@ def test_features_bytes_equal_eventwise_reference(name, pieces):
         corpus.write_text("".join(json.dumps(p) + "\n" for p in pieces),
                           encoding="utf-8")
         assert_features_match_reference(corpus, "jsonl", FEATURE_SETTINGS[name])
+
+
+@pytest.mark.parametrize("memo_limit", [cli.FEATURES_MEMO_LIMIT, 3])
+def test_features_bytes_equal_eventwise_reference_on_repeated_groups(
+        memo_limit, monkeypatch, tmp_path, space):
+    """A diatonic corpus repeats a few transition groups over many events:
+    the text kept once per group, and with a memo of 3 groups the text of
+    the groups formatted per event past it, equal the reference."""
+    corpus = tmp_path / "tonal.jsonl"
+    write_corpus(diatonic_corpus(seed=3, n_pieces=60), corpus)
+    collapsed = collapse(preprocess_corpus(parse_corpus(corpus, "jsonl")),
+                         space.alphabet)
+    assert 3 < collapsed.n_classes and 10 * collapsed.n_classes < collapsed.n_events
+    monkeypatch.setattr(cli, "FEATURES_MEMO_LIMIT", memo_limit)
+    assert_features_match_reference(corpus, "jsonl", {})
 
 
 LABELS = {"I": [0, 4, 7], "V7": [7, 11, 2, 5], "aug": [0, 4, 8], "n": [5],

@@ -367,7 +367,8 @@ def _row_subset_statistics(space, n_rows, seed) -> _RowStatistics:
     ridge=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
 )
 def test_evaluate_equals_one_pass_reference(space, n_rows, seed, mask, weights, ridge):
-    """_evaluate in row blocks is, bit for bit, one pass over all rows."""
+    """_evaluate in row blocks is, bit for bit, one pass over all rows, and
+    without the Hessian gives the same cost and gradient bits."""
     stats = _row_subset_statistics(space, n_rows, seed)
     w = np.where(mask, weights, 0.0)
     active = np.flatnonzero(mask)
@@ -375,6 +376,9 @@ def test_evaluate_equals_one_pass_reference(space, n_rows, seed, mask, weights, 
     want = reference_evaluate(stats, w, active, ridge)
     assert data_cost == want[0] and cost == want[1]
     assert np.array_equal(grad, want[2]) and np.array_equal(hess, want[3])
+    no_hess = _evaluate(stats, w, active, ridge, hessian=False)
+    assert no_hess[0] == data_cost and no_hess[1] == cost
+    assert np.array_equal(no_hess[2], grad) and no_hess[3] is None
 
 
 def test_evaluate_memory_does_not_grow_with_rows(space):

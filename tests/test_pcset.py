@@ -60,6 +60,14 @@ def test_parse_format_round_trip():
         parse_pcset("0,4,x")
 
 
+@pytest.mark.parametrize("text", ["+4,-0", "1_1", "\u0663"])
+def test_parse_pcset_takes_ascii_digits_only(text):
+    """Signs, digit separators and non-ASCII digits, all of which int()
+    takes, are malformed, as in a plain corpus token."""
+    with pytest.raises(ValueError, match="malformed chord token"):
+        parse_pcset(text)
+
+
 @given(pcsets)
 def test_format_parse_inverse(x):
     assert parse_pcset(format_pcset(x)) == x
