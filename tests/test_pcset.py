@@ -146,6 +146,19 @@ def test_id_of_accepts_unsorted_input(alphabet):
     assert alphabet.id_of((5, 9, 0)) == alphabet.id_of((0, 5, 9))
 
 
+def test_ids_of_equals_id_of_per_chord(alphabet):
+    """Canonical chords, and sequences that need id_of (unsorted, repeated
+    or list chords), give id_of's ids; a chord id_of rejects is rejected."""
+    canonical = [(0, 4, 7), (11,), tuple(range(12))]
+    for chords in (canonical, canonical + [(5, 9, 0)], [[0, 4, 7], (2, 2, 6)], []):
+        ids = alphabet.ids_of(chords)
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [alphabet.id_of(c) for c in chords]
+    for bad in ((), (0, 12)):
+        with pytest.raises(ValueError):
+            alphabet.ids_of(canonical + [bad])
+
+
 def test_shift_and_rep_row_reconstruct_chord(alphabet):
     rng = np.random.default_rng(3)
     for cid in rng.integers(0, 4095, 200):
