@@ -25,7 +25,7 @@ from chordmodel.importance import (
     bootstrap,
     per_composition_importance,
 )
-from chordmodel.model import EnergyModel, sample_sequence
+from chordmodel.model import EnergyModel, sample_corpus
 
 REGIMES = {
     "smooth": np.array([0.0, 0.0, 0.0, -2.0]),   # voice leading dominates
@@ -37,9 +37,9 @@ def build_corpus(space, pieces_per_regime, length, seed) -> CorpusFile:
     pieces = []
     for k, (name, weights) in enumerate(REGIMES.items()):
         model = EnergyModel(space, weights=weights)
-        rng = np.random.default_rng([seed, k])
-        for i in range(pieces_per_regime):
-            pieces.append(Piece(f"{name}-{i:03d}", sample_sequence(model, length, rng)))
+        chords = sample_corpus(model, pieces_per_regime, length,
+                               np.random.default_rng([seed, k]))
+        pieces.extend(Piece(f"{name}-{i:03d}", c) for i, c in enumerate(chords))
     return CorpusFile(pieces=tuple(pieces))
 
 

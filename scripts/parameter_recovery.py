@@ -24,15 +24,14 @@ import numpy as np
 
 from chordmodel.corpus import CorpusFile, Piece, collapse
 from chordmodel.features import FEATURE_NAMES, get_feature_space
-from chordmodel.model import EnergyModel, fit, sample_sequence
+from chordmodel.model import EnergyModel, fit, sample_corpus
 
 
-def sample_corpus(space, weights, n_pieces, length, seed) -> CorpusFile:
+def synthetic_corpus(space, weights, n_pieces, length, seed) -> CorpusFile:
     model = EnergyModel(space, weights=weights)
-    rng = np.random.default_rng(seed)
-    pieces = tuple(Piece(f"synthetic-{i:04d}", sample_sequence(model, length, rng))
-                   for i in range(n_pieces))
-    return CorpusFile(pieces=pieces)
+    chords = sample_corpus(model, n_pieces, length, np.random.default_rng(seed))
+    return CorpusFile(pieces=tuple(Piece(f"synthetic-{i:04d}", c)
+                                   for i, c in enumerate(chords)))
 
 
 def main() -> None:
@@ -72,7 +71,7 @@ def main() -> None:
     errors = []
     for r in range(args.replications):
         t0 = time.perf_counter()
-        corpus = sample_corpus(
+        corpus = synthetic_corpus(
             space, w_true, args.pieces, args.length, seed=[args.seed, r]
         )
         # no preprocess_corpus: the model's support includes the immediate

@@ -30,7 +30,6 @@ from .features import (
     build_transition_stats,
     get_feature_space,
     harmonicity_raw,
-    transition_features,
     virtual_pitch_spectrum,
 )
 from .importance import (
@@ -49,6 +48,7 @@ from .model import (
     corpus_gradient,
     energy,
     fit,
+    sample_corpus,
     sample_sequence,
 )
 from .pcset import (
@@ -114,10 +114,10 @@ __all__ = [
     "per_composition_importance",
     "preprocess",
     "preprocess_corpus",
+    "sample_corpus",
     "sample_sequence",
     "spectral_distance",
     "tone_similarity_profile",
-    "transition_features",
     "virtual_pitch_spectrum",
     "voice_leading_distance",
     "write_corpus",

@@ -49,7 +49,7 @@ from .importance import (
     interval_rows,
     per_composition_importance,
 )
-from .model import EnergyModel, fit, full_mask, mask_from_names, sample_sequence
+from .model import EnergyModel, fit, full_mask, mask_from_names, sample_corpus
 from .pcset import format_pcset
 from .spectrum import SpectrumParams
 
@@ -465,6 +465,9 @@ def cmd_importance(corpus_path, output_prefix, bootstrap_b, level, seed, ridge,
 
 
 def _weights_from_file(path: str) -> np.ndarray:
+    def bad(message: str) -> click.UsageError:
+        return click.UsageError(f"weights file {path}: {message}")
+
     try:
         # integers read as floats: one too large for a float is inf, not an error
         obj = json.loads(Path(path).read_text(encoding="utf-8-sig"), parse_int=float)
@@ -479,22 +482,20 @@ def _weights_from_file(path: str) -> np.ndarray:
     if isinstance(obj, dict):
         unknown = sorted(set(obj) - set(FEATURE_NAMES))
         if unknown:
-            raise click.UsageError(f"unknown feature names in weights: {unknown}")
+            raise bad(f"unknown feature names in weights: {unknown}")
         values = [obj.get(name, 0.0) for name in FEATURE_NAMES]
     elif isinstance(obj, list):
         values = obj
     else:
-        raise click.UsageError(
-            "weights file must hold a JSON list or a name -> value object"
-        )
+        raise bad("expected a JSON list or a name -> value object")
     if len(values) != len(FEATURE_NAMES):
-        raise click.UsageError(f"expected {len(FEATURE_NAMES)} weights")
+        raise bad(f"expected {len(FEATURE_NAMES)} weights")
     # every JSON number parses as a float, and true as a bool
     if any(type(v) is not float for v in values):
-        raise click.UsageError("weights must be numbers")
+        raise bad("weights must be numbers")
     weights = np.array(values)
     if not np.all(np.isfinite(weights)):
-        raise click.UsageError("weights must be finite")
+        raise bad("weights must be finite")
     return weights
 
 
@@ -520,10 +521,9 @@ def cmd_sample(weights_path, output, n_pieces, length, seed, corpus_format,
     try:
         model = EnergyModel(space, weights=weights)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
-    rng = np.random.default_rng(seed)
-    pieces = tuple(Piece(f"sample-{i:04d}", sample_sequence(model, length, rng))
-                   for i in range(n_pieces))
+        raise click.UsageError(f"weights file {weights_path}: {exc}")
+    chords = sample_corpus(model, n_pieces, length, np.random.default_rng(seed))
+    pieces = tuple(Piece(f"sample-{i:04d}", c) for i, c in enumerate(chords))
     write_corpus(CorpusFile(pieces=pieces), output, corpus_format)
     click.echo(f"wrote {n_pieces} piece(s) of {length} chords to {output}")
 

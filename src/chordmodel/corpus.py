@@ -142,6 +142,11 @@ def _parse_jsonl_line(line: str, where: str, valid: dict[str, PcSet]) -> Piece:
     piece_id = obj["id"]
     if not isinstance(piece_id, str) or not piece_id:
         raise CorpusFormatError(f"{where}: piece id must be a non-empty string")
+    try:
+        piece_id.encode("utf-8")  # every artifact that holds ids is UTF-8
+    except UnicodeEncodeError:
+        raise CorpusFormatError(
+            f"{where}: piece id {piece_id!r} holds a lone surrogate, not UTF-8 text")
     chords_raw = obj["chords"]
     if not isinstance(chords_raw, list) or not chords_raw:
         raise CorpusFormatError(f"{where}: chords must be a non-empty list")

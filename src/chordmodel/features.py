@@ -43,12 +43,11 @@ from .spectrum import (
     SpectrumParams,
     Spectrum,
     pcset_spectrum,
-    spectral_distance,
     tone_autocorrelation,
     tone_correlations,
     tone_similarity_profile,
 )
-from .voiceleading import VL_MATRIX_SHA256, voice_leading_distance, voice_leading_matrix
+from .voiceleading import VL_MATRIX_SHA256, voice_leading_matrix
 
 FEATURE_NAMES = (
     "chord_size",
@@ -199,37 +198,6 @@ def build_transition_stats(
     if np.any(var <= 0.0):
         raise ValueError("degenerate feature population (zero variance)")
     return TransitionFeatureStats(mean=mean, sd=np.sqrt(var))
-
-
-def transition_features(
-    prev: PcSet | None,
-    cur: PcSet,
-    stats: TransitionFeatureStats,
-    table: HarmonicityTable,
-    alphabet: ChordAlphabet | None = None,
-    params: SpectrumParams = SpectrumParams(),
-) -> np.ndarray:
-    """Standardized features of one transition, computed from first principles.
-
-    Returns an array of shape (4,) in FEATURE_NAMES order. This is the slow
-    reference path (fresh spectra, fresh voice-leading solve); FeatureSpace
-    provides the cached equivalent for bulk work.
-    """
-    alphabet = alphabet or enumerate_alphabet()
-    cur = as_pcset(cur)
-    raw = np.empty(N_FEATURES)
-    raw[0] = len(cur)
-    raw[1] = table.normalized[alphabet.id_of(cur)]
-    if prev is None:
-        raw[2] = stats.mean[2]
-        raw[3] = stats.mean[3]
-    else:
-        prev = as_pcset(prev)
-        raw[2] = spectral_distance(
-            pcset_spectrum(prev, params), pcset_spectrum(cur, params)
-        )
-        raw[3] = voice_leading_distance(prev, cur)
-    return stats.standardize(raw)
 
 
 class FeatureSpace:

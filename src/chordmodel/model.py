@@ -30,7 +30,9 @@ tables; sampling reads a context's row in chord-id order through
 corpus.relative_ids, so it draws from exactly the conditional a fit evaluates.
 The sampler walks chord ids, not pitch-class sets, and draws each chord by
 inverse CDF over that chord-id-ordered row with one uniform per chord, the
-arithmetic of numpy's Generator.choice, so its draws are choice's draws.
+arithmetic of numpy's Generator.choice, so its draws are choice's draws. It
+scores and softmaxes each class row once per call and keeps the
+probabilities, so a corpus of many chords pays for at most 352 rows.
 EnergyModel rejects weights whose weighted tables could overflow, so no
 score is inf or NaN.
 
@@ -415,36 +417,53 @@ def _newton(
     )
 
 
-def sample_sequence(
-    model: EnergyModel, length: int, rng: np.random.Generator
-) -> tuple[PcSet, ...]:
-    """Ancestral sample of one chord sequence through the chain factorization.
+def sample_corpus(
+    model: EnergyModel, n_pieces: int, length: int, rng: np.random.Generator
+) -> tuple[tuple[PcSet, ...], ...]:
+    """Ancestral samples of n_pieces chord sequences of length chords each,
+    drawn in order from one rng through the chain factorization.
 
     Each chord is drawn by inverse CDF from its context's conditional in
     chord-id order, with one rng.random() per chord: the arithmetic of
     Generator.choice(n_chords, p=conditional), so the draws are its draws.
-    The chain walks chord ids; the leading context-free terms of the scores
-    are summed once, as the start of every step's _scores sum, so each step
-    scores exactly the row conditional_distribution scores.
+    The chain walks chord ids. A context class row (row -1 is the start) is
+    scored and softmaxed on its first visit, exactly as
+    conditional_distribution scores it, and its probabilities are kept for
+    the rest of the call: at most one row of n_chords float64 per class row
+    and the start, 352 x 4,095 (11.5 MB) on the full alphabet. Each draw
+    then reads the kept row in its context's chord-id order.
     """
+    if n_pieces < 0:
+        raise ValueError("number of pieces must be at least 0")
     if length < 1:
         raise ValueError("sequence length must be at least 1")
     space, al = model.space, model.space.alphabet
     w, active = model.effective_weights, np.flatnonzero(model.feature_mask)
-    n_free = next((i for i, k in enumerate(active)
-                   if space.standardized[k].ndim > 1), len(active))
-    context_free = _scores(_row_tables(space, (-1, None)), w, active[:n_free])
     tolerance = math.sqrt(np.finfo(float).eps)
-    ids: list[int] = []
-    row, order = -1, slice(None)  # the start context
-    for _ in range(length):
-        scores = _scores(_row_tables(space, (row, None)), w, active[n_free:],
-                         context_free)
-        cdf = _softmax(scores)[2][0, order].cumsum()
-        if not abs(cdf[-1] - 1.0) <= tolerance:  # also NaN and inf
-            raise ValueError(f"conditional sums to {cdf[-1]!r}, not 1")
-        cdf /= cdf[-1]
-        chord_id = int(cdf.searchsorted(rng.random(), side="right"))
-        ids.append(chord_id)
-        row, order = al.rep_row[chord_id], relative_ids(chord_id, slice(None), al)
-    return tuple(al[i] for i in ids)
+    row_probs: dict[int, np.ndarray] = {}
+    pieces = []
+    for _ in range(n_pieces):
+        ids: list[int] = []
+        row, order = -1, slice(None)  # the start context
+        for _ in range(length):
+            probs = row_probs.get(row)
+            if probs is None:
+                scores = _scores(_row_tables(space, (row, None)), w, active)
+                probs = row_probs[row] = _softmax(scores)[2][0]
+            cdf = probs[order].cumsum()
+            if not abs(cdf[-1] - 1.0) <= tolerance:  # also NaN and inf
+                raise ValueError(f"conditional sums to {cdf[-1]!r}, not 1")
+            cdf /= cdf[-1]
+            chord_id = int(cdf.searchsorted(rng.random(), side="right"))
+            ids.append(chord_id)
+            row = int(al.rep_row[chord_id])
+            order = relative_ids(chord_id, slice(None), al)
+        pieces.append(tuple(al[i] for i in ids))
+    return tuple(pieces)
+
+
+def sample_sequence(
+    model: EnergyModel, length: int, rng: np.random.Generator
+) -> tuple[PcSet, ...]:
+    """One chord sequence: sample_corpus of a single piece."""
+    return sample_corpus(model, 1, length, rng)[0]

@@ -3,8 +3,10 @@
 The voice-leading oracles deliberately use different algorithm families
 than the production code (star-union enumeration and a covered-subset DP
 versus the production rotation-pair staircase), so agreement is evidence,
-not tautology. The harmonicity oracle evaluates the virtual-pitch profile one
-bin at a time with an explicit cosine, no FFT. The naive model oracle
+not tautology. transition_features computes one transition's features from
+fresh spectra and a fresh voice-leading solve. The harmonicity oracle
+evaluates the virtual-pitch profile one bin at a time with an explicit
+cosine, no FFT. The naive model oracle
 evaluates one softmax per event with no transposition grouping, and the
 reference fit reaches the optimum with scipy's generic optimizers instead of
 the package's Newton solver. reference_evaluate is the model's evaluation
@@ -41,10 +43,12 @@ from chordmodel.model import (
     conditional_distribution,
     corpus_cost,
     corpus_gradient,
-    sample_sequence,
+    sample_corpus,
 )
 from chordmodel.pcset import (
     N_PITCH_CLASSES,
+    as_pcset,
+    enumerate_alphabet,
     format_pcset,
     normal_form,
     pc_distance,
@@ -56,6 +60,7 @@ from chordmodel.spectrum import (
     pcset_spectrum,
     spectral_distance,
 )
+from chordmodel.voiceleading import voice_leading_distance
 
 
 def make_corpus(pieces_chords, ids=None) -> CorpusFile:
@@ -71,12 +76,8 @@ def make_corpus(pieces_chords, ids=None) -> CorpusFile:
 def sampled_corpus(space, weights, n_pieces, length, seed) -> CorpusFile:
     """Corpus drawn from the model itself; the standard synthetic oracle."""
     model = EnergyModel(space, weights=np.asarray(weights, dtype=float))
-    rng = np.random.default_rng(seed)
-    chords = [
-        [tuple(c) for c in sample_sequence(model, length, rng)]
-        for _ in range(n_pieces)
-    ]
-    return make_corpus(chords)
+    return make_corpus(sample_corpus(model, n_pieces, length,
+                                     np.random.default_rng(seed)))
 
 
 # Functional-harmony transition weights between the degrees I..vii of a
@@ -296,6 +297,41 @@ def harmonicity_oracle(x, params: SpectrumParams = SpectrumParams()) -> float:
     return params.bin_width * float(
         np.sum(q[mask] * np.log2(12.0 * q[mask]))
     )
+
+
+# ---------------------------------------------------------------------------
+# transition features from first principles
+
+
+def transition_features(
+    prev,
+    cur,
+    stats,
+    table,
+    alphabet=None,
+    params: SpectrumParams = SpectrumParams(),
+) -> np.ndarray:
+    """Standardized features of one transition, computed from first principles.
+
+    Returns an array of shape (4,) in FEATURE_NAMES order. This is the slow
+    reference path (fresh spectra, fresh voice-leading solve); FeatureSpace
+    provides the cached equivalent for bulk work.
+    """
+    alphabet = alphabet or enumerate_alphabet()
+    cur = as_pcset(cur)
+    raw = np.empty(len(FEATURE_NAMES))
+    raw[0] = len(cur)
+    raw[1] = table.normalized[alphabet.id_of(cur)]
+    if prev is None:
+        raw[2] = stats.mean[2]
+        raw[3] = stats.mean[3]
+    else:
+        prev = as_pcset(prev)
+        raw[2] = spectral_distance(
+            pcset_spectrum(prev, params), pcset_spectrum(cur, params)
+        )
+        raw[3] = voice_leading_distance(prev, cur)
+    return stats.standardize(raw)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.stats
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from chordmodel import cli
@@ -795,6 +795,132 @@ def test_missing_output_directory_is_a_usage_error(runner, tmp_path, monkeypatch
     assert result.exit_code == 2
     assert "nodir" in result.output
     assert not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["features", "c.jsonl"],
+    ["features", "c.jsonl", "-o", "f.csv"],
+    ["importance", "c.jsonl", "--per-piece", "-o", "p"],
+])
+def test_lone_surrogate_piece_id_is_a_usage_error(runner, tmp_path, monkeypatch,
+                                                  args):
+    """"\\ud800" is valid JSON but no UTF-8 text: every artifact that writes
+    piece ids would fail to encode it, so the reader rejects it."""
+    (tmp_path / "c.jsonl").write_text(
+        '{"id": "a", "chords": [[0, 4, 7], [5, 9, 0]]}\n'
+        '{"id": "\\ud800", "chords": [[0, 4, 7], [5, 9, 0]]}\n', encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    result = run(runner, *cached(*args))
+    assert result.exit_code == 2
+    assert "c.jsonl:2: piece id '\\ud800'" in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
+
+
+# Input-layer fuzzing: random bytes, and well-formed JSON of the wrong shape,
+# depth or size, for each of the four readers. Text may hold lone
+# surrogates, which JSON can escape but UTF-8 cannot encode.
+fuzz_text = st.text(st.characters() | st.integers(0xD800, 0xDFFF).map(chr),
+                    max_size=4)
+fuzz_leaves = (st.none() | st.booleans() | st.integers(-2, 13)
+               | st.integers(-2**70, 2**70) | st.floats() | fuzz_text)
+fuzz_json = st.recursive(
+    fuzz_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(fuzz_text, inner, max_size=4),
+    max_leaves=12,
+)
+# chords, ids and weights are valid more often than not, so that whole files
+# get past the reader and into the commands' own checks and writers
+fuzz_valid_chord = st.lists(st.integers(0, 11), min_size=1, max_size=4)
+fuzz_chord = fuzz_valid_chord | fuzz_valid_chord | st.lists(
+    st.integers(-1, 12), max_size=4) | fuzz_json
+# texts that json.loads must not recurse into, or not convert, unguarded
+fuzz_extreme = st.sampled_from([
+    "[" * 100_000 + "]" * 100_000, "[" * 900 + "]" * 900, "7" * 5000,
+    "1e400", "-1e400", "NaN", "",
+])
+
+
+def fuzz_json_text(value) -> str:
+    return json.dumps(value, ensure_ascii=True)
+
+
+@st.composite
+def fuzz_bytes(draw, shaped, max_lines=1):
+    """One file: random bytes, an extreme JSON text, or up to max_lines
+    lines of the reader's own shape, some of them arbitrary JSON."""
+    kind = draw(st.sampled_from(["bytes", "extreme", "shaped", "mixed"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=120))
+    if kind == "extreme":
+        return draw(fuzz_extreme).encode()
+    line = shaped if kind == "shaped" else shaped | fuzz_json
+    lines = draw(st.lists(line.map(fuzz_json_text), min_size=1,
+                         max_size=max_lines))
+    return "\n".join(lines).encode()
+
+
+fuzz_plain_token = st.sampled_from(
+    ["0,4,7", "5,9,0", "11", "12", "-0", "+4", "\u0663", "0,,4", "#", "a"])
+fuzz_plain = st.lists(st.lists(fuzz_plain_token, max_size=5), min_size=1,
+                      max_size=4).map(
+    lambda lines: "\n".join(" ".join(t) for t in lines).encode())
+fuzz_id = st.text(st.characters() | st.integers(0xD800, 0xDFFF).map(chr),
+                  min_size=1, max_size=4)
+fuzz_piece = st.fixed_dictionaries(
+    {"id": fuzz_id, "chords": st.lists(fuzz_valid_chord, min_size=1, max_size=4)}
+) | st.fixed_dictionaries(
+    {"id": fuzz_id | fuzz_json, "chords": st.lists(fuzz_chord, min_size=1, max_size=4)},
+    optional={"bass": st.lists(st.none() | st.integers(-1, 12), max_size=4)
+              | fuzz_json})
+fuzz_label_map = st.dictionaries(fuzz_text, fuzz_chord, max_size=4)
+fuzz_number = st.floats(-5, 5) | st.integers(-5, 5) | st.floats() \
+    | st.integers(-2**70, 2**70) | fuzz_leaves
+fuzz_weights = st.lists(fuzz_number, min_size=3, max_size=5) | st.dictionaries(
+    st.sampled_from(FEATURE_NAMES) | fuzz_text, fuzz_number, max_size=4)
+fuzz_weights = fuzz_weights | fuzz_weights.map(lambda w: {"weights": w}) \
+    | fuzz_weights.map(lambda w: {"result": {"weights": w}})
+
+FUZZ_READERS = {
+    # reader: (fuzzed file, its contents, command)
+    "plain": ("c.txt", st.one_of(st.binary(max_size=120), fuzz_plain),
+              ["features", "c.txt", "-o", "out.csv"]),
+    "jsonl": ("c.jsonl", fuzz_bytes(fuzz_piece, max_lines=4),
+              ["features", "c.jsonl"]),
+    "label map": ("labels.json", fuzz_bytes(fuzz_label_map),
+                  ["features", "c.txt", "--label-map", "labels.json"]),
+    "weights": ("w.json", fuzz_bytes(fuzz_weights),
+                ["sample", "w.json", "-o", "s.txt", "--length", "3"]),
+}
+
+
+@pytest.mark.parametrize("reader", FUZZ_READERS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_input_exits_0_or_2_naming_the_file(reader, data):
+    """Whatever bytes a reader gets, a command exits 0 or 2, and an exit 2
+    names the file at fault; never a traceback (exit 1)."""
+    name, contents, args = FUZZ_READERS[reader]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / name).write_bytes(data.draw(contents, label=name))
+        if reader == "label map":
+            # a corpus of the map's own labels where it has any
+            try:
+                labels = json.loads((tmp / name).read_bytes())
+            except (ValueError, RecursionError):
+                labels = None
+            words = [w for w in labels if w.split() == [w] and w.isprintable()] \
+                if isinstance(labels, dict) else []
+            (tmp / "c.txt").write_text(" ".join(words or ["I"]) + "\n",
+                                       encoding="utf-8")
+        result = CliRunner().invoke(main, cached(*[
+            str(tmp / a) if "." in a else a for a in args]))
+    event(f"exit {result.exit_code}")
+    assert result.exit_code in (0, 2), (result.output, result.exception)
+    if result.exit_code == 2:
+        assert name in result.output or (
+            reader == "label map" and "c.txt" in result.output), result.output
 
 
 def test_unusable_cache_dir_is_a_usage_error(runner, corpus_file, tmp_path):

@@ -23,13 +23,12 @@ from chordmodel.features import (
     build_harmonicity_table,
     harmonicity_raw,
     pair_population_moments,
-    transition_features,
     virtual_pitch_spectrum,
 )
 from chordmodel.spectrum import SpectrumParams, pcset_spectrum, spectral_distance
 from chordmodel.voiceleading import VL_MATRIX_SHA256, voice_leading_distance
 
-from helpers import absolute_rows, harmonicity_oracle
+from helpers import absolute_rows, harmonicity_oracle, transition_features
 
 pcsets = st.sets(st.integers(0, 11), min_size=1).map(lambda s: tuple(sorted(s)))
 

@@ -31,6 +31,7 @@ from chordmodel.model import (
     fit,
     full_mask,
     mask_from_names,
+    sample_corpus,
     sample_sequence,
 )
 from chordmodel.pcset import enumerate_alphabet
@@ -420,6 +421,45 @@ def test_sampler_draws_as_generator_choice(space, weights, mask, seed, length):
     model = EnergyModel(space, weights=np.array(weights), feature_mask=mask)
     assert sample_sequence(model, length, np.random.default_rng(seed)) == \
         choice_sample_sequence(model, length, np.random.default_rng(seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.lists(st.one_of(st.just(0.0), st.sampled_from([-4.0, 4.0]),
+                               st.floats(-4.0, 4.0)), min_size=4, max_size=4),
+    mask=st.integers(1, 15).map(
+        lambda m: np.array([m >> k & 1 for k in range(4)], dtype=bool)),
+    seed=st.integers(0, 2**32 - 1),
+    n_pieces=st.integers(1, 6),
+    length=st.integers(1, 40),
+)
+def test_sample_corpus_draws_as_chained_generator_choice(
+        space, weights, mask, seed, n_pieces, length):
+    """A corpus sampled with its class rows kept across pieces draws what
+    n_pieces chained Generator.choice samplers drew from one generator,
+    with masks of context-free features only among those drawn."""
+    model = EnergyModel(space, weights=np.array(weights), feature_mask=mask)
+    rng = np.random.default_rng(seed)
+    expected = tuple(choice_sample_sequence(model, length, rng)
+                     for _ in range(n_pieces))
+    assert sample_corpus(model, n_pieces, length,
+                         np.random.default_rng(seed)) == expected
+
+
+def test_sample_corpus_keeps_nothing_between_calls(space):
+    """Two models over one space sampled alternately each draw their own
+    reference chords: no call reads rows another call scored."""
+    models = [EnergyModel(space, weights=np.array(w)) for w in
+              ([0.5, 1.0, -1.0, -0.5], [-2.0, 0.3, 2.5, -3.0])]
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(3):
+        for model in models:
+            expected = tuple(choice_sample_sequence(model, 15, ref_rng)
+                             for _ in range(2))
+            assert sample_corpus(model, 2, 15, rng) == expected
+    assert sample_corpus(models[0], 0, 5, rng) == ()
+    with pytest.raises(ValueError, match="pieces"):
+        sample_corpus(models[0], -1, 5, rng)
 
 
 def test_sampler_rejects_a_conditional_that_does_not_sum_to_one(space):
