@@ -6,12 +6,12 @@ versus the production rotation-pair staircase), so agreement is evidence,
 not tautology. transition_features computes one transition's features from
 fresh spectra and a fresh voice-leading solve. The harmonicity oracle
 evaluates the virtual-pitch profile one bin at a time with an explicit
-cosine, no FFT. The naive model oracle
-evaluates one softmax per event with no transposition grouping, and the
-reference fit reaches the optimum with scipy's generic optimizers instead of
-the package's Newton solver. reference_evaluate is the model's evaluation
-as one pass over all context rows, which the row-block version must equal
-bit for bit. choice_sample_sequence is the sampler that drew each chord with
+cosine, no FFT. The naive model oracle evaluates one softmax per event with
+no transposition grouping, and the reference fit reaches the optimum with
+scipy's generic optimizers instead of the package's Newton solver.
+reference_evaluate is the model's evaluation as one pass over all context
+rows, which the row-block version must equal bit for bit.
+choice_sample_sequence is the sampler that drew each chord with
 Generator.choice, which the inverse-CDF sampler must equal draw for draw.
 """
 

@@ -819,8 +819,8 @@ def test_lone_surrogate_piece_id_is_a_usage_error(runner, tmp_path, monkeypatch,
 # Input-layer fuzzing: random bytes, and well-formed JSON of the wrong shape,
 # depth or size, for each of the four readers. Text may hold lone
 # surrogates, which JSON can escape but UTF-8 cannot encode.
-fuzz_text = st.text(st.characters() | st.integers(0xD800, 0xDFFF).map(chr),
-                    max_size=4)
+fuzz_char = st.characters() | st.integers(0xD800, 0xDFFF).map(chr)
+fuzz_text = st.text(fuzz_char, max_size=4)
 fuzz_leaves = (st.none() | st.booleans() | st.integers(-2, 13)
                | st.integers(-2**70, 2**70) | st.floats() | fuzz_text)
 fuzz_json = st.recursive(
@@ -829,8 +829,8 @@ fuzz_json = st.recursive(
     | st.dictionaries(fuzz_text, inner, max_size=4),
     max_leaves=12,
 )
-# chords, ids and weights are valid more often than not, so that whole files
-# get past the reader and into the commands' own checks and writers
+# chords, pieces and weights are often valid, so that whole files get past
+# the reader and into the commands' own checks and writers
 fuzz_valid_chord = st.lists(st.integers(0, 11), min_size=1, max_size=4)
 fuzz_chord = fuzz_valid_chord | fuzz_valid_chord | st.lists(
     st.integers(-1, 12), max_size=4) | fuzz_json
@@ -865,8 +865,7 @@ fuzz_plain_token = st.sampled_from(
 fuzz_plain = st.lists(st.lists(fuzz_plain_token, max_size=5), min_size=1,
                       max_size=4).map(
     lambda lines: "\n".join(" ".join(t) for t in lines).encode())
-fuzz_id = st.text(st.characters() | st.integers(0xD800, 0xDFFF).map(chr),
-                  min_size=1, max_size=4)
+fuzz_id = st.text(fuzz_char, min_size=1, max_size=4)
 fuzz_piece = st.fixed_dictionaries(
     {"id": fuzz_id, "chords": st.lists(fuzz_valid_chord, min_size=1, max_size=4)}
 ) | st.fixed_dictionaries(
@@ -914,6 +913,7 @@ def test_fuzzed_input_exits_0_or_2_naming_the_file(reader, data):
                 if isinstance(labels, dict) else []
             (tmp / "c.txt").write_text(" ".join(words or ["I"]) + "\n",
                                        encoding="utf-8")
+        # the arguments with a dot are the file names
         result = CliRunner().invoke(main, cached(*[
             str(tmp / a) if "." in a else a for a in args]))
     event(f"exit {result.exit_code}")
