@@ -24,6 +24,7 @@ import hashlib
 import io
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -230,16 +231,18 @@ def _write_features(fh, space: FeatureSpace, corpus: CorpusFile,
 
     The bytes are those of tests/helpers.features_csv_reference, which
     formats every event on its own; here the values are read from the
-    space's tables a piece at a time. Text that depends on the continuation
-    alone is formatted once per chord. The distance text is formatted once
-    per transition group (class row, relative id) for the first
-    FEATURES_MEMO_LIMIT groups met, and past that limit at every event of a
-    new group, the voice-leading part still once per distance.
+    space's tables a piece at a time, and a distance is standardized with
+    FeatureSpace.row_tables's two operations, minus the mean, then divided
+    by the SD. Text that depends on the continuation alone is formatted once
+    per chord. The distance text is formatted once per transition group
+    (class row, relative id) for the first FEATURES_MEMO_LIMIT groups met,
+    and past that limit at every event of a new group, the voice-leading
+    part still once per distance.
     """
     _csv_header(fh, FEATURE_CSV_COLUMNS, config)
     al = space.alphabet
     n_chords = len(al)
-    size_z, harmonicity_z, spectral_z, vl_z = space.standardized
+    size_z, harmonicity_z = space.columns
     # chord id -> (quoted name, "name,size,harmonicity" raw, "size,harmonicity"
     # standardized)
     chord_text: dict[int, tuple[str, str, str]] = {}
@@ -247,9 +250,9 @@ def _write_features(fh, space: FeatureSpace, corpus: CorpusFile,
     # rows -> ("spectral,vl" raw, "spectral,vl" std)
     group_text: dict[int, tuple[str, str]] = {}
     vl_text: dict[int, tuple[str, str]] = {}  # raw distance -> (raw, std)
-    mean = space.stats.mean
+    mean, sd = space.stats.mean.tolist(), space.stats.sd.tolist()
     # start events impute the population mean, which standardizes to 0
-    start_raw = f"{float(mean[2])!r},{float(mean[3])!r}"
+    start_raw = f"{mean[2]!r},{mean[3]!r}"
 
     def chord(j: int) -> tuple[str, str, str]:
         name = _csv_field(format_pcset(al[j]))
@@ -264,10 +267,11 @@ def _write_features(fh, space: FeatureSpace, corpus: CorpusFile,
     def group(key: int) -> tuple[str, str]:
         vl = space.vl_matrix.item(key)
         if vl not in vl_text:
-            vl_text[vl] = (repr(float(vl)), repr(vl_z.item(key)))
+            vl_text[vl] = (repr(float(vl)), repr((vl - mean[3]) / sd[3]))
         vl_raw, vl_std = vl_text[vl]
-        text = (f"{space.spectral_matrix.item(key)!r},{vl_raw}",
-                f"{spectral_z.item(key)!r},{vl_std}")
+        spectral = space.spectral_matrix.item(key)
+        text = (f"{spectral!r},{vl_raw}",
+                f"{(spectral - mean[2]) / sd[2]!r},{vl_std}")
         if len(group_text) < FEATURES_MEMO_LIMIT:
             group_text[key] = text
         return text
@@ -295,10 +299,17 @@ def _finite(ctx, param, value: float) -> float:
 
 
 def _existing_parent(ctx, param, value: str | None) -> str | None:
-    """Click callback: reject an output path whose directory does not exist,
-    before the command computes anything it could not write."""
-    if value is not None and not Path(value).parent.is_dir():
-        raise click.BadParameter(f"directory {Path(value).parent} does not exist.")
+    """Click callback: reject an output path or prefix that does not end in
+    a file name, or whose directory is missing or not a directory, before
+    the command computes anything it could not write."""
+    if value is None:
+        return value
+    if os.path.basename(value) in ("", ".", ".."):
+        raise click.BadParameter(f"{value!r} does not end in a file name.")
+    parent = Path(value).parent
+    if not parent.is_dir():
+        raise click.BadParameter(f"{parent} is not a directory." if parent.exists()
+                                 else f"directory {parent} does not exist.")
     return value
 
 

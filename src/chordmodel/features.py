@@ -13,10 +13,13 @@ all 4,095 x 4,095 ordered chord pairs. When a chord has no predecessor the
 sequential features are imputed with the population mean, hence standardize
 to exactly 0.
 
-FeatureSpace bundles every per-alphabet table (pairwise distance matrices
-keyed by transposition class, harmonicity table, standardization stats,
-standardized feature tables) and is the unit of caching: everything
-downstream (model fitting, importance, the command line) reads from it.
+FeatureSpace bundles every per-alphabet table (raw pairwise distance
+matrices keyed by transposition class, harmonicity table, standardization
+stats, the context-free features' standardized columns) and is the unit of
+caching: everything downstream (model fitting, importance, the command line)
+reads from it. The sequential features are standardized only where their
+rows are gathered, by FeatureSpace.row_tables. The build works ROW_BLOCK
+class rows at a time wherever it makes a table-sized temporary.
 """
 
 from __future__ import annotations
@@ -56,6 +59,11 @@ FEATURE_NAMES = (
     "voice_leading_distance",
 )
 N_FEATURES = len(FEATURE_NAMES)
+# rows per block of the feature-space build and of model._evaluate: 16 x
+# 4,095 float64 is 512 KB per temporary, which stays in L2 cache; blocks of
+# 8 and 16 rows were fastest for _evaluate at 198-336 rows, 32 and 64 up to
+# 1.4x slower
+ROW_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -125,27 +133,36 @@ def build_harmonicity_table(
     alphabet: ChordAlphabet,
     params: SpectrumParams = SpectrumParams(),
     literal_q: bool = False,
+    correlations: np.ndarray | None = None,
 ) -> HarmonicityTable:
     """Raw harmonicity for all chords, z-scored within chord-size groups.
 
     Raw values are computed once per transposition class and broadcast over
     each orbit, so transposition invariance holds exactly. They follow
     harmonicity_raw, for all classes at once: each class's tone-similarity
-    profile comes from tone_correlations, not from an FFT of its spectrum.
-    Z-scores use the population SD; zero-variance size groups (1, 11 and 12
-    notes, each a single transposition orbit) map to 0.
+    profile comes from tone_correlations of the class representatives (pass
+    them as correlations when already computed), not from an FFT of its
+    spectrum. The profiles are formed ROW_BLOCK classes at a time; a class's
+    value depends on its own row only, so the block changes no bit. Z-scores
+    use the population SD; zero-variance size groups (1, 11 and 12 notes,
+    each a single transposition orbit) map to 0.
     """
-    reps = [alphabet[int(rep_id)] for rep_id in alphabet.rep_ids]
-    corr = tone_correlations(reps, params)
+    if correlations is None:
+        reps = [alphabet[int(rep_id)] for rep_id in alphabet.rep_ids]
+        correlations = tone_correlations(reps, params)
     # |S_X|^2 sums the inner products of S_X with the spectra of its own tones
     members = (alphabet.masks[alphabet.rep_ids, None] >> np.arange(N_PITCH_CLASSES)) & 1
-    norm = np.sqrt((corr[:, :: params.bins_per_pc] * members).sum(axis=1))
     template_norm = math.sqrt(tone_autocorrelation(params)[0])
-    sim = np.clip(corr / (norm[:, None] * template_norm), 0.0, 1.0)
-    q = (1.0 - sim) if literal_q else sim
-    q /= q.sum(axis=1, keepdims=True) * params.bin_width
-    log_q = np.log2(N_PITCH_CLASSES * q, out=np.zeros_like(q), where=q > 0.0)
-    rep_raw = params.bin_width * (q * log_q).sum(axis=1)
+    rep_raw = np.empty(alphabet.n_classes)
+    for lo in range(0, alphabet.n_classes, ROW_BLOCK):
+        block = slice(lo, lo + ROW_BLOCK)
+        corr = correlations[block]
+        norm = np.sqrt((corr[:, :: params.bins_per_pc] * members[block]).sum(axis=1))
+        sim = np.clip(corr / (norm[:, None] * template_norm), 0.0, 1.0)
+        q = (1.0 - sim) if literal_q else sim
+        q /= q.sum(axis=1, keepdims=True) * params.bin_width
+        log_q = np.log2(N_PITCH_CLASSES * q, out=np.zeros_like(q), where=q > 0.0)
+        rep_raw[block] = params.bin_width * (q * log_q).sum(axis=1)
     raw = rep_raw[alphabet.rep_row]
     normalized = np.zeros(len(alphabet))
     for size in range(1, N_PITCH_CLASSES + 1):
@@ -167,12 +184,19 @@ def pair_population_moments(
     class r -> chord c). Weighting row r by its orbit size reproduces the
     moments over all ordered chord pairs exactly, because transposing a
     context permutes its continuation row rather than changing its values.
+    The row sums are taken ROW_BLOCK rows at a time, so the float copy of an
+    integer matrix and the squares stay block-sized.
     """
-    v = np.asarray(values, dtype=float)
+    values = np.asarray(values)
     w = np.asarray(orbit_sizes, dtype=float)
-    n = w.sum() * v.shape[1]
-    mean = float(w @ v.sum(axis=1)) / n
-    second = float(w @ (v * v).sum(axis=1)) / n
+    sums, squares = np.empty((2, len(values)))
+    for lo in range(0, len(values), ROW_BLOCK):
+        v = values[lo:lo + ROW_BLOCK].astype(float, copy=False)
+        sums[lo:lo + ROW_BLOCK] = v.sum(axis=1)
+        squares[lo:lo + ROW_BLOCK] = (v * v).sum(axis=1)
+    n = w.sum() * values.shape[1]
+    mean = float(w @ sums) / n
+    second = float(w @ squares) / n
     return mean, second - mean * mean
 
 
@@ -211,13 +235,15 @@ class FeatureSpace:
       corpus.transition_classes. vl_matrix is the pinned uint8 array (every
       distance is a whole number of semitones); spectral_matrix is float64.
     - table: HarmonicityTable; stats: TransitionFeatureStats.
-    - standardized: one table per feature. A context-free feature (chord
-      size, harmonicity) is a column of shape (4095,); a sequential one
-      (spectral and voice-leading distance) is a matrix of shape
-      (n_classes + 1, 4095): the class rows laid out like the raw distances,
-      then one row of exact zeros for the start context, which imputes the
-      population mean. A start event with chord j thus reads row -1 at
-      column j, the same (row, id) gather as any transition.
+    - columns: the standardized context-free features (chord size,
+      harmonicity), one (4095,) column each.
+
+    The standardized sequential features (spectral and voice-leading
+    distance) are not stored: row_tables standardizes the rows it gathers.
+    Their table has the class rows laid out like the raw distances, then one
+    row of exact zeros for the start context, which imputes the population
+    mean. A start event with chord j thus reads row -1 at column j, the same
+    (row, id) gather as any transition.
     """
 
     def __init__(
@@ -231,51 +257,85 @@ class FeatureSpace:
         self.alphabet = enumerate_alphabet()
         al = self.alphabet
 
-        # inner[r, m] is the inner product of the class-r representative's
-        # spectrum with the spectrum of the chord whose mask is m; adding pitch
-        # class p to every mask below 2**p fills the masks below 2**(p + 1)
+        # tones[r, p] is the inner product of the class-r representative's
+        # spectrum with the spectrum of pitch class p
         reps = [al[int(rep_id)] for rep_id in al.rep_ids]
-        tones = tone_correlations(reps, params)[:, :: params.bins_per_pc]
-        inner = np.zeros((al.n_classes, 2**N_PITCH_CLASSES))
-        for p in range(N_PITCH_CLASSES):
-            inner[:, 2**p : 2 ** (p + 1)] = inner[:, : 2**p] + tones[:, p, None]
-        inner = np.take(inner, al.masks, axis=1)  # C order, unlike inner[:, masks]
-        norm = np.sqrt(inner[np.arange(al.n_classes), al.rep_ids])
-        # 1 - cosine in place: each freed temporary of this size would stay
-        # in the heap and add about 11 MB to the resident set
-        inner /= norm[:, None] * norm[al.rep_row]
-        np.subtract(1.0, inner, out=inner)
-        self.spectral_matrix = np.clip(inner, 0.0, 1.0, out=inner)
+        correlations = tone_correlations(reps, params)
+        tones = correlations[:, :: params.bins_per_pc]
+        # the spectral distance is built in place, ROW_BLOCK class rows at a
+        # time, so no temporary has the table's size. First the inner
+        # products: inner[r, m] is that of the class-r representative's
+        # spectrum with the spectrum of the chord whose mask is m; adding
+        # pitch class p to every mask below 2**p fills the masks below
+        # 2**(p + 1). Mask 0, the empty chord, stays 0.
+        spectral = np.empty((al.n_classes, len(al)))
+        inner = np.zeros((ROW_BLOCK, 2**N_PITCH_CLASSES))
+        for lo in range(0, al.n_classes, ROW_BLOCK):
+            block_tones = tones[lo:lo + ROW_BLOCK]
+            block = inner[:len(block_tones)]
+            for p in range(N_PITCH_CLASSES):
+                np.add(block[:, : 2**p], block_tones[:, p, None],
+                       out=block[:, 2**p : 2 ** (p + 1)])
+            np.take(block, al.masks, axis=1, out=spectral[lo:lo + ROW_BLOCK])
+        # then 1 - cosine, each row divided by its own and each chord's norm
+        norm = np.sqrt(spectral[np.arange(al.n_classes), al.rep_ids])
+        chord_norm = norm[al.rep_row]
+        for lo in range(0, al.n_classes, ROW_BLOCK):
+            block = spectral[lo:lo + ROW_BLOCK]
+            block /= norm[lo:lo + ROW_BLOCK, None] * chord_norm
+            np.subtract(1.0, block, out=block)
+            np.clip(block, 0.0, 1.0, out=block)
+        self.spectral_matrix = spectral
         self.vl_matrix = self._cached_vl_matrix(cache_dir)
 
-        self.table = build_harmonicity_table(al, params, literal_q)
+        self.table = build_harmonicity_table(al, params, literal_q, correlations)
         self.stats = build_transition_stats(
             al, self.table, self.spectral_matrix, self.vl_matrix
         )
-
         mean, sd = self.stats.mean, self.stats.sd
-        standardized = [(al.sizes.astype(float) - mean[0]) / sd[0],
-                        (self.table.normalized - mean[1]) / sd[1]]
-        for k, raw in enumerate((self.spectral_matrix, self.vl_matrix), start=2):
-            # (raw - mean) / sd bit for bit, written in place so that no
-            # table-sized temporary grows the heap; the last row (the start
-            # context, row -1) stays 0
-            table = np.zeros((al.n_classes + 1, len(al)))
-            np.subtract(raw, mean[k], out=table[:-1])
-            np.divide(table[:-1], sd[k], out=table[:-1])
-            standardized.append(table)
-        self.standardized = tuple(standardized)
+        self.columns = ((al.sizes.astype(float) - mean[0]) / sd[0],
+                        (self.table.normalized - mean[1]) / sd[1])
         self.feature_names = FEATURE_NAMES
 
     @property
     def n_features(self) -> int:
-        return len(self.standardized)
+        return len(self.feature_names)
+
+    def _sequential(self):
+        """(feature index, raw matrix) of each sequential feature."""
+        return enumerate((self.spectral_matrix, self.vl_matrix), start=len(self.columns))
+
+    def row_tables(self, rows) -> tuple:
+        """Each feature's standardized table over the given table rows (an
+        index array; -1 is the start context), in model._RowStatistics's
+        layout. A context-free feature is its column as a (1, n_chords) view.
+        A sequential one is computed here, shape (len(rows), n_chords):
+        np.subtract(raw rows, mean) then the division by sd, the start row
+        exact zeros."""
+        rows = np.asarray(rows)
+        mean, sd = self.stats.mean, self.stats.sd
+        tables = [column[None] for column in self.columns]
+        for k, raw in self._sequential():
+            # a gather is a copy, so both steps run in place on it
+            table = raw[rows].astype(float, copy=False)
+            np.subtract(table, mean[k], out=table)
+            np.divide(table, sd[k], out=table)
+            table[rows < 0] = 0.0
+            tables.append(table)
+        return tuple(tables)
 
     @cached_property
     def table_bounds(self) -> tuple[float, ...]:
-        """max |table| of each standardized table, computed on first use
-        (by EnergyModel) and without a table-sized temporary."""
-        return tuple(max(float(t.max()), -float(t.min())) for t in self.standardized)
+        """max |table| of each standardized table, computed on first use (by
+        EnergyModel). A sequential table's extremes are its raw extremes
+        standardized, (x - mean) / sd being monotone in x, or the start
+        row's 0."""
+        mean, sd = self.stats.mean, self.stats.sd
+        bounds = [max(float(c.max()), -float(c.min())) for c in self.columns]
+        for k, raw in self._sequential():
+            top, bottom = ((float(x) - mean[k]) / sd[k] for x in (raw.max(), raw.min()))
+            bounds.append(max(float(top), -float(bottom), 0.0))
+        return tuple(bounds)
 
     def _cached_vl_matrix(self, cache_dir: str | Path | None) -> np.ndarray:
         """The pinned voice-leading matrix, read from or saved to

@@ -323,6 +323,8 @@ def bootstrap(
     Resamples the pieces of a collapsed corpus with replacement n_replicates
     times, reruns feature_importance per replicate (warm-started from the
     full-corpus fits), and returns percentile intervals at the given level.
+    With threads > 1 the point nest and the replicates run on a pool of that
+    many threads; with one, in the calling thread. The results are the same.
     """
     if len(pieces.piece_ids) < 2:
         raise ValueError("bootstrap needs at least 2 pieces to resample")
@@ -345,14 +347,17 @@ def bootstrap(
             warm_starts=warm,
         )
 
-    # the point nest runs on the pool too: with one thread every fit then reuses
-    # the memory of one malloc arena, where a second arena raised peak memory
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        point = pool.submit(
-            feature_importance, pieces, space, ridge=ridge, measures=measures
-        ).result()
+    if threads == 1:
+        point = feature_importance(pieces, space, ridge=ridge, measures=measures)
         warm = {key: res.weights for key, res in point.fits.items()}
-        reports = list(pool.map(run_replicate, range(n_replicates)))
+        reports = [run_replicate(r) for r in range(n_replicates)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            point = pool.submit(
+                feature_importance, pieces, space, ridge=ridge, measures=measures
+            ).result()
+            warm = {key: res.weights for key, res in point.fits.items()}
+            reports = list(pool.map(run_replicate, range(n_replicates)))
 
     replicates = {
         m: np.array([rep.values(m) for rep in reports]) for m in measures

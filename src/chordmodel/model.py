@@ -12,12 +12,12 @@ events n_r in each context row (the start context and one row per collapsed
 transposition class, at most 352 rows however large the corpus is) and the
 observed feature sums Phi, together with the per-row feature tables they
 are taken against. The start context is row -1 of every sequential feature
-table, a row of zeros after the class rows, so the start and the classes are
-read alike: a group's values are one (row, relative id) gather, and a row
-table is one gather of table rows in which the start row sorts first. The
-counts are the nonzero column totals of the corpus's count matrix. Every
-sub-model of an importance nest is fitted from the same statistics object
-with its own feature mask. Cost, gradient (expected minus
+table, a row of zeros, so the start and the classes are read alike: the
+statistics gather their rows from FeatureSpace.row_tables, the start row
+sorting first, and a group's values are one (row, relative id) read of
+them. The counts are the nonzero column totals of the corpus's count
+matrix. Every sub-model of an importance nest is fitted from the same
+statistics object with its own feature mask. Cost, gradient (expected minus
 observed feature sums) and Hessian (count-weighted feature covariances)
 come from per-row quantities computed in fixed blocks of ROW_BLOCK rows, so
 the memory of one evaluation does not grow with the row count; the
@@ -50,15 +50,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import CollapsedCorpus, relative_ids
-from .features import FEATURE_NAMES, N_FEATURES, FeatureSpace
+from .features import FEATURE_NAMES, N_FEATURES, ROW_BLOCK, FeatureSpace
 from .pcset import PcSet, as_pcset
 
 GRADIENT_TOL = 1e-6
 MAX_ITERATIONS = 500
-# rows per block of _evaluate: 16 x 4,095 float64 is 512 KB per temporary,
-# which stays in L2 cache; blocks of 8 and 16 rows were fastest at 198-336
-# rows, 32 and 64 up to 1.4x slower
-ROW_BLOCK = 16
 
 
 def full_mask(n_features: int = N_FEATURES) -> np.ndarray:
@@ -118,10 +114,10 @@ class _RowStatistics:
     context (table row -1) first when any piece has a first event, then the
     context classes. counts[r] is the number of events in row r and observed
     the feature sums over all events (Phi). tables[k] holds feature k's
-    standardized values per row, shape (n_rows, n_chords), one gather of the
-    feature space's table; a context-free feature has the same values in
-    every row and keeps one (1, n_chords) row, which broadcasts against the
-    rest.
+    standardized values per row, shape (n_rows, n_chords), as
+    FeatureSpace.row_tables gathers them; a context-free feature has the
+    same values in every row and keeps one (1, n_chords) row, which
+    broadcasts against the rest.
     """
 
     counts: np.ndarray
@@ -130,30 +126,24 @@ class _RowStatistics:
     n_chords: int
 
 
-def _row_tables(space: FeatureSpace, rows) -> tuple:
-    """Each feature's table over the given table rows (an index array, or
-    (row, None) for one row as a view; row -1 is the start context), in
-    _RowStatistics's layout."""
-    return tuple(t[None] if t.ndim == 1 else t[rows] for t in space.standardized)
-
-
 def _statistics(space: FeatureSpace, corpus: CollapsedCorpus) -> _RowStatistics:
     rows, rels, counts = corpus.group_counts
     classes, row_of = np.unique(rows, return_inverse=True)
     row_counts = np.bincount(row_of, weights=counts, minlength=len(classes))
+    tables = space.row_tables(classes)
 
     def values(t, part):
-        return t[rels[part]] if t.ndim == 1 else t[rows[part], rels[part]]
+        # a group's value in the gathered rows; a context-free table is one row
+        return t[0, rels[part]] if len(t) == 1 else t[row_of[part], rels[part]]
 
     # the start groups' sums are one reduction over their (n_start, n_features)
     # block, apart from each feature's reduction over the transition groups
     start, trans = slice(corpus.n_start), slice(corpus.n_start, None)
     observed = np.einsum("i,ik->k", counts[start], np.stack(
-        [values(t, start) for t in space.standardized], axis=1))
-    for k, table in enumerate(space.standardized):
+        [values(t, start) for t in tables], axis=1))
+    for k, table in enumerate(tables):
         observed[k] += np.einsum("i,i->", counts[trans], values(table, trans))
-    return _RowStatistics(row_counts, observed, _row_tables(space, classes),
-                          len(space.alphabet))
+    return _RowStatistics(row_counts, observed, tables, len(space.alphabet))
 
 
 def _scores(tables, w: np.ndarray, active: np.ndarray,
@@ -183,7 +173,7 @@ def _context_scores(model: EnergyModel, ctx: PcSet | None):
     if ctx is not None:
         ctx_id = al.id_of(as_pcset(ctx))
         row, order = al.rep_row[ctx_id], relative_ids(ctx_id, slice(None), al)
-    tables = _row_tables(model.space, (row, None))
+    tables = model.space.row_tables([row])
     return _scores(tables, model.effective_weights,
                    np.flatnonzero(model.feature_mask)), order
 
@@ -448,7 +438,7 @@ def sample_corpus(
         for _ in range(length):
             probs = row_probs.get(row)
             if probs is None:
-                scores = _scores(_row_tables(space, (row, None)), w, active)
+                scores = _scores(space.row_tables([row]), w, active)
                 probs = row_probs[row] = _softmax(scores)[2][0]
             cdf = probs[order].cumsum()
             if not abs(cdf[-1] - 1.0) <= tolerance:  # also NaN and inf

@@ -11,6 +11,9 @@ no transposition grouping, and the reference fit reaches the optimum with
 scipy's generic optimizers instead of the package's Newton solver.
 reference_evaluate is the model's evaluation as one pass over all context
 rows, which the row-block version must equal bit for bit.
+standardized_tables holds every feature's standardized table whole, as the
+feature space once stored it, which FeatureSpace.row_tables must equal row
+for row, bit for bit.
 choice_sample_sequence is the sampler that drew each chord with
 Generator.choice, which the inverse-CDF sampler must equal draw for draw.
 """
@@ -338,6 +341,30 @@ def transition_features(
 # model oracle
 
 
+@lru_cache(maxsize=4)
+def standardized_tables(space) -> tuple:
+    """Every feature's standardized table, whole. A context-free feature
+    (chord size, harmonicity) is a column of shape (4095,); a sequential one
+    (spectral and voice-leading distance) is a matrix of shape
+    (n_classes + 1, 4095): (raw - mean) / sd of the class rows, then one row
+    of exact zeros for the start context, row -1."""
+    al = space.alphabet
+    mean, sd = space.stats.mean, space.stats.sd
+    tables = [(al.sizes.astype(float) - mean[0]) / sd[0],
+              (space.table.normalized - mean[1]) / sd[1]]
+    for k, raw in enumerate((space.spectral_matrix, space.vl_matrix), start=2):
+        table = np.zeros((al.n_classes + 1, len(al)))
+        np.subtract(raw, mean[k], out=table[:-1])
+        np.divide(table[:-1], sd[k], out=table[:-1])
+        tables.append(table)
+    return tuple(tables)
+
+
+def table_bounds_reference(tables) -> tuple[float, ...]:
+    """max |table| of each whole table."""
+    return tuple(max(float(t.max()), -float(t.min())) for t in tables)
+
+
 def absolute_rows(space, context_id: int | None) -> np.ndarray:
     """Standardized features of (context -> every chord) in chord-id order,
     shape (4095, 4): the context's row of each table, gathered through the
@@ -348,7 +375,7 @@ def absolute_rows(space, context_id: int | None) -> np.ndarray:
                   else (al.rep_row[context_id], al.shift_of[context_id]))
     perm = al.perm[-shift % N_PITCH_CLASSES]
     return np.stack(
-        [t[perm] if t.ndim == 1 else t[row, perm] for t in space.standardized],
+        [t[perm] if t.ndim == 1 else t[row, perm] for t in standardized_tables(space)],
         axis=1,
     )
 
@@ -365,8 +392,9 @@ def statistics_reference(space, corpus) -> _RowStatistics:
     rows, rels = np.divmod(codes[n_start:], corpus.CODE_BASE)
     rows, counts = rows - 1, totals[n_start:]
     n_chords = len(space.alphabet)
+    standardized = standardized_tables(space)
     start_features = np.stack(
-        [t if t.ndim == 1 else np.zeros(n_chords) for t in space.standardized],
+        [t if t.ndim == 1 else np.zeros(n_chords) for t in standardized],
         axis=1,
     )
 
@@ -376,7 +404,7 @@ def statistics_reference(space, corpus) -> _RowStatistics:
         row_counts = np.concatenate([[start_counts.sum()], row_counts])
     observed = np.einsum("i,ik->k", start_counts, start_features[start_ids])
     tables = []
-    for k, table in enumerate(space.standardized):
+    for k, table in enumerate(standardized):
         observed[k] += np.einsum(
             "i,i->", counts, table[rels] if table.ndim == 1 else table[rows, rels])
         if table.ndim == 1:
@@ -491,9 +519,13 @@ def bfgs_reference_fit(corpus, space, feature_mask, ridge=0.0) -> np.ndarray:
 
 
 def duplicate_feature(space, index: int, name: str):
-    """A FeatureSpace clone with feature `index` copied as an extra feature."""
+    """A FeatureSpace clone with feature `index` copied as an extra feature:
+    its row tables and bounds are read from standardized_tables."""
+    tables = standardized_tables(space)
+    tables += (tables[index],)
     dup = copy.copy(space)
-    dup.standardized = tuple(space.standardized) + (space.standardized[index],)
+    dup.row_tables = lambda rows: tuple(t[None] if t.ndim == 1 else t[rows]
+                                        for t in tables)
     dup.feature_names = tuple(space.feature_names) + (name,)
-    dup.__dict__.pop("table_bounds", None)  # bounds of the original tables
+    dup.table_bounds = table_bounds_reference(tables)
     return dup

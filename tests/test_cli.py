@@ -923,6 +923,62 @@ def test_fuzzed_input_exits_0_or_2_naming_the_file(reader, data):
             reader == "label map" and "c.txt" in result.output), result.output
 
 
+# output-path fuzzing: command -> (arguments before -o, suffixes of the
+# files an output value names)
+OUTPUT_COMMANDS = {
+    "fit": (["fit", "c.txt"], ("",)),
+    "features": (["features", "c.txt"], ("",)),
+    "importance": (["importance", "c.txt"], (".json", ".csv")),
+    "sample": (["sample", "w.json", "--length", "3"], ("",)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(sorted(OUTPUT_COMMANDS)),
+       case=st.sampled_from(["directory", "file parent", "trailing separator",
+                             "newline"]),
+       name=st.text(st.sampled_from("ab1 -_\u00e9"), max_size=4).map("o".__add__),
+       parent_exists=st.booleans())
+def test_fuzzed_output_path_exits_0_or_2_naming_it(command, case, name,
+                                                   parent_exists):
+    """An output path that is a directory or lies inside a file, or a path
+    or prefix that ends in a path separator, exits 2 naming the entry at
+    fault and writes nothing. A name with a newline, or a prefix beside a
+    directory of the same name, exits 0 and writes exactly the files the
+    value names. No case leaves a temporary file."""
+    args, suffixes = OUTPUT_COMMANDS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "c.txt").write_text(PLAIN_CORPUS + "\n", encoding="utf-8")
+        (tmp / "w.json").write_text("[0.5, 0, 0, 0]", encoding="utf-8")
+        if case == "directory":
+            (tmp / name).mkdir()
+            output = str(tmp / name)
+        elif case == "file parent":
+            (tmp / name).write_text("not a directory\n", encoding="utf-8")
+            output = str(tmp / name / "out")
+        elif case == "trailing separator":
+            if parent_exists:
+                (tmp / name).mkdir()
+            output = str(tmp / name) + os.sep
+        else:
+            output = str(tmp / f"{name}\n{name}")
+        before = {p for p in tmp.rglob("*") if p.is_file()}
+        result = CliRunner().invoke(main, cached(
+            *[str(tmp / a) if "." in a else a for a in args], "-o", output))
+        written = {p for p in tmp.rglob("*") if p.is_file()} - before
+    # a prefix beside a directory of its name is fine; a file path is not
+    writes = case == "newline" or (case == "directory" and command == "importance")
+    assert result.exit_code == (0 if writes else 2), (result.output, result.exception)
+    if writes:
+        assert written == {Path(output + suffix) for suffix in suffixes}
+    else:
+        assert name in result.output, result.output
+        assert not written
+    if case == "file parent":
+        assert "is not a directory" in result.output
+
+
 def test_unusable_cache_dir_is_a_usage_error(runner, corpus_file, tmp_path):
     (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
     cache = tmp_path / "afile" / "sub"

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordmodel import features
+from chordmodel.cli import RunConfig, _write_features
 from chordmodel.features import (
     FEATURE_NAMES,
     FeatureSpace,
@@ -28,7 +30,15 @@ from chordmodel.features import (
 from chordmodel.spectrum import SpectrumParams, pcset_spectrum, spectral_distance
 from chordmodel.voiceleading import VL_MATRIX_SHA256, voice_leading_distance
 
-from helpers import absolute_rows, harmonicity_oracle, transition_features
+from conftest import CACHE_DIR
+from helpers import (
+    absolute_rows,
+    harmonicity_oracle,
+    make_corpus,
+    standardized_tables,
+    table_bounds_reference,
+    transition_features,
+)
 
 pcsets = st.sets(st.integers(0, 11), min_size=1).map(lambda s: tuple(sorted(s)))
 
@@ -205,13 +215,13 @@ def test_transition_features_imputation_and_composition(space):
 def test_feature_space_tables(space):
     al = space.alphabet
     assert space.n_features == len(FEATURE_NAMES) == 4
-    assert [t.shape for t in space.standardized] == [
+    assert [t.shape for t in standardized_tables(space)] == [
         (len(al),), (len(al),), (al.n_classes + 1, len(al)), (al.n_classes + 1, len(al))
     ]
     # class rows are the standardized raw distances, bit for bit; the start
     # row -1 after them is exactly 0
     for k, raw in ((2, space.spectral_matrix), (3, space.vl_matrix)):
-        table = space.standardized[k]
+        table = standardized_tables(space)[k]
         want = (raw - space.stats.mean[k]) / space.stats.sd[k]
         assert table[:-1].tobytes() == want.tobytes()
         assert table[-1].tobytes() == bytes(8 * len(al))
@@ -230,6 +240,49 @@ def test_feature_space_tables(space):
     for j in (0, 77, 4000):
         slow = transition_features(None, al[j], space.stats, space.table, al)
         assert np.allclose(absolute_rows(space, None)[j], slow, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_row_tables_equal_the_whole_tables(space, data):
+    """row_tables standardizes the rows it gathers to the bits of the whole
+    standardized tables, on sorted row sets with the start row -1 and on
+    single rows; the bounds are the whole tables' bounds, and the features
+    writer's standardized distances are their text."""
+    al = space.alphabet
+    whole = standardized_tables(space)
+    rows = data.draw(st.sets(st.integers(0, al.n_classes - 1), max_size=40))
+    for r in (np.array(sorted(rows | {-1})), np.array([data.draw(
+            st.integers(-1, al.n_classes - 1), label="single row")])):
+        got = space.row_tables(r)
+        assert len(got) == len(whole) == space.n_features
+        for t, want in zip(got, whole):
+            want = want[None] if want.ndim == 1 else want[r]
+            assert t.shape == want.shape and t.tobytes() == want.tobytes()
+    assert space.table_bounds == table_bounds_reference(whole)
+    ids = data.draw(st.lists(st.integers(0, len(al) - 1), min_size=1, max_size=8),
+                    label="chord ids")
+    buf = io.StringIO(newline="")
+    _write_features(buf, space, make_corpus([[al[i] for i in ids]]), RunConfig())
+    lines = buf.getvalue().splitlines()[3:]
+    for prev, cur, line in zip([None, *ids[:-1]], ids, lines, strict=True):
+        std = absolute_rows(space, prev)[cur]
+        assert line.split(",")[-2:] == [repr(float(v)) for v in std[2:]]
+
+
+def test_feature_space_holds_each_table_once(space):
+    """A warm build keeps the raw distance matrices and no standardized copy
+    of them (at most 16 MiB of new memory), and its temporaries are
+    row-block sized (a tracemalloc peak of at most 24 MiB)."""
+    tracemalloc.start()
+    try:
+        built = FeatureSpace(space.params, space.literal_q, CACHE_DIR)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built.spectral_matrix.tobytes() == space.spectral_matrix.tobytes()
+    assert retained <= 16 * 2**20, retained / 2**20
+    assert peak <= 24 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from chordmodel.model import (
     EnergyModel,
     _corpus_terms,
     _evaluate,
-    _row_tables,
     _RowStatistics,
     _scores,
     _softmax,
@@ -353,7 +352,7 @@ def _row_subset_statistics(space, n_rows, seed) -> _RowStatistics:
                               replace=False))
     return _RowStatistics(rng.integers(1, 1000, n_rows).astype(float),
                           rng.normal(0.0, 100.0, space.n_features),
-                          _row_tables(space, rows), len(space.alphabet))
+                          space.row_tables(rows), len(space.alphabet))
 
 
 @settings(max_examples=60, deadline=None)
