@@ -313,6 +313,7 @@ class FeatureSpace:
         np.subtract(raw rows, mean) then the division by sd, the start row
         exact zeros."""
         rows = np.asarray(rows)
+        start = rows < 0
         mean, sd = self.stats.mean, self.stats.sd
         tables = [column[None] for column in self.columns]
         for k, raw in self._sequential():
@@ -320,7 +321,7 @@ class FeatureSpace:
             table = raw[rows].astype(float, copy=False)
             np.subtract(table, mean[k], out=table)
             np.divide(table, sd[k], out=table)
-            table[rows < 0] = 0.0
+            table[start] = 0.0
             tables.append(table)
         return tuple(tables)
 
@@ -393,7 +394,7 @@ def get_feature_space(
 ) -> FeatureSpace:
     """Process-wide memoized FeatureSpace, one per parameter set and resolved
     cache_dir (about 3 s to construct without a cached voice-leading matrix,
-    0.1 s with one)."""
+    0.05 s with one)."""
     key = (params, literal_q, None if cache_dir is None else Path(cache_dir).resolve())
     if key not in _SPACES:
         _SPACES[key] = FeatureSpace(params, literal_q, cache_dir)

@@ -357,6 +357,8 @@ def standardized_tables(space) -> tuple:
         np.subtract(raw, mean[k], out=table[:-1])
         np.divide(table[:-1], sd[k], out=table[:-1])
         tables.append(table)
+    for table in tables:
+        table.setflags(write=False)  # every caller shares the cached tables
     return tuple(tables)
 
 
