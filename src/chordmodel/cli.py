@@ -45,6 +45,9 @@ from .corpus import (
 )
 from .features import FEATURE_NAMES, FeatureSpace, get_feature_space
 from .importance import (
+    COMPOSITION_RIDGE_DEFAULT,
+    CORPUS_RIDGE_DEFAULT,
+    DEFAULT_LEVEL,
     bootstrap,
     feature_importance,
     interval_rows,
@@ -81,16 +84,16 @@ FEATURES_MEMO_LIMIT = 2**14
 class RunConfig:
     """Result-determining knobs of one run, echoed into every artifact."""
 
-    rho: float = 0.75
-    sigma: float = 0.0683
-    harmonics: int = 12
-    bins: int = 1200
+    rho: float = SpectrumParams.rho
+    sigma: float = SpectrumParams.sigma
+    harmonics: int = SpectrumParams.n_harmonics
+    bins: int = SpectrumParams.n_bins
     q_literal: bool = False
     features: tuple[str, ...] = FEATURE_NAMES
-    ridge: float = 0.0
+    ridge: float = CORPUS_RIDGE_DEFAULT
     bootstrap: int = 0
     seed: int = 0
-    level: float = 0.99
+    level: float = DEFAULT_LEVEL
     corpus_format: str = "plain"
 
     def to_dict(self) -> dict:
@@ -104,13 +107,16 @@ class RunConfig:
 
 
 def _spectrum_options(f):
-    f = click.option("--rho", type=float, default=0.75, show_default=True,
-                     callback=_finite, help="Harmonic level roll-off exponent.")(f)
-    f = click.option("--sigma", type=float, default=0.0683, show_default=True,
-                     callback=_finite, help="Gaussian smoothing SD in semitones.")(f)
-    f = click.option("--harmonics", type=int, default=12, show_default=True,
-                     help="Number of harmonics per tone.")(f)
-    f = click.option("--bins", type=int, default=1200, show_default=True,
+    f = click.option("--rho", type=float, default=SpectrumParams.rho,
+                     show_default=True, callback=_finite,
+                     help="Harmonic level roll-off exponent.")(f)
+    f = click.option("--sigma", type=float, default=SpectrumParams.sigma,
+                     show_default=True, callback=_finite,
+                     help="Gaussian smoothing SD in semitones.")(f)
+    f = click.option("--harmonics", type=int, default=SpectrumParams.n_harmonics,
+                     show_default=True, help="Number of harmonics per tone.")(f)
+    f = click.option("--bins", type=int, default=SpectrumParams.n_bins,
+                     show_default=True,
                      help="Pitch-class grid resolution (multiple of 12).")(f)
     f = click.option("--q-literal", is_flag=True,
                      help="Use spectral distance rather than similarity as "
@@ -206,16 +212,12 @@ def _csv_header(fh, columns, config: RunConfig):
     return writer
 
 
-def _write_csv(fh, columns, rows, config: RunConfig) -> None:
-    """Write the two config header lines and the rows to a text stream."""
-    writer = _csv_header(fh, columns, config)
-    for row in rows:
-        writer.writerow([_csv_value(row.get(c)) for c in columns])
-
-
 def _write_csv_file(path: Path, columns, rows, config: RunConfig) -> None:
+    """Write the two config header lines and the rows to a CSV file."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_csv(fh, columns, rows, config)
+        writer = _csv_header(fh, columns, config)
+        for row in rows:
+            writer.writerow([_csv_value(row.get(c)) for c in columns])
 
 
 def _csv_field(text: str) -> str:
@@ -350,8 +352,8 @@ def cmd_features(corpus_path, output, corpus_format, label_map,
 @click.option("--features", "features_spec", default=None,
               help="Comma-separated active features, or 'none' for the "
                    "uniform null model (default: all four).")
-@click.option("--ridge", type=click.FloatRange(min=0.0), default=0.0,
-              show_default=True, callback=_finite,
+@click.option("--ridge", type=click.FloatRange(min=0.0),
+              default=CORPUS_RIDGE_DEFAULT, show_default=True, callback=_finite,
               help="L2 penalty strength on the weights.")
 @_corpus_options
 @_spectrum_options
@@ -394,17 +396,17 @@ def cmd_fit(corpus_path, output, features_spec, ridge, corpus_format, label_map,
               help="Bootstrap replicate count; 0 disables intervals.")
 @click.option("--level", type=click.FloatRange(0.0, 1.0, min_open=True,
                                                max_open=True),
-              default=0.99, show_default=True, callback=_finite,
+              default=DEFAULT_LEVEL, show_default=True, callback=_finite,
               help="Bootstrap confidence level.")
 @click.option("--seed", type=click.IntRange(min=0), default=0,
               show_default=True, help="Root seed for bootstrap resampling.")
-@click.option("--ridge", type=click.FloatRange(min=0.0), default=0.0,
-              show_default=True, callback=_finite,
+@click.option("--ridge", type=click.FloatRange(min=0.0),
+              default=CORPUS_RIDGE_DEFAULT, show_default=True, callback=_finite,
               help="L2 penalty for corpus-level fits.")
 @click.option("--per-piece", is_flag=True,
               help="Also fit every composition separately.")
-@click.option("--piece-ridge", type=click.FloatRange(min=0.0), default=1e-3,
-              show_default=True, callback=_finite,
+@click.option("--piece-ridge", type=click.FloatRange(min=0.0),
+              default=COMPOSITION_RIDGE_DEFAULT, show_default=True, callback=_finite,
               help="L2 penalty for per-composition fits.")
 @click.option("--threads", type=click.IntRange(min=1), default=1,
               show_default=True,

@@ -25,7 +25,6 @@ short-piece maximum-likelihood degeneracies.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -56,37 +55,26 @@ def orientation(feature_names) -> np.ndarray:
     )
 
 
-def _sub_fit_masks(feature_names, measures) -> dict[str, np.ndarray]:
-    """Feature mask of every sub-fit the measures need, keyed in run order."""
+def _sub_fit_masks(feature_names) -> dict[str, np.ndarray]:
+    """Feature mask of every sub-fit of the nest, keyed in run order:
+    "full", "null", "single:<feature>" each, "loo:<feature>" each."""
     n = len(feature_names)
     eye = np.eye(n, dtype=bool)
-    masks: dict[str, np.ndarray] = {}
-    if "weight" in measures or "unique_explained_entropy" in measures:
-        masks["full"] = np.ones(n, dtype=bool)
-    if "explained_entropy" in measures:
-        masks["null"] = np.zeros(n, dtype=bool)
-        for j, name in enumerate(feature_names):
-            masks[f"single:{name}"] = eye[j]
-    if "unique_explained_entropy" in measures:
-        for j, name in enumerate(feature_names):
-            masks[f"loo:{name}"] = ~eye[j]
+    masks = {"full": np.ones(n, dtype=bool), "null": np.zeros(n, dtype=bool)}
+    for j, name in enumerate(feature_names):
+        masks[f"single:{name}"] = eye[j]
+    for j, name in enumerate(feature_names):
+        masks[f"loo:{name}"] = ~eye[j]
     return masks
-
-
-def required_fits(feature_names, measures=MEASURES) -> list[str]:
-    """Sub-fit keys needed to produce the requested measures, in run order.
-
-    Keys: "full", "null", "single:<feature>", "loo:<feature>".
-    """
-    return list(_sub_fit_masks(feature_names, measures))
 
 
 @dataclass
 class ImportanceReport:
     """Per-feature importance measures from one nest of model fits.
 
-    Measures that were not requested are NaN. ``fits`` keeps every sub-fit
-    (keyed as in required_fits) so convergence problems stay attributable.
+    ``fits`` keeps every sub-fit (keyed as in _sub_fit_masks) so
+    convergence problems stay attributable. A report with a piece_id is at
+    composition level, one without at corpus level.
     """
 
     feature_names: tuple[str, ...]
@@ -95,9 +83,12 @@ class ImportanceReport:
     unique_explained_entropy: np.ndarray
     null_cross_entropy: float
     full_cross_entropy: float
-    level: str  # "corpus" | "composition"
     piece_id: str | None
     fits: dict[str, FitResult] = field(repr=False)
+
+    @property
+    def level(self) -> str:
+        return "corpus" if self.piece_id is None else "composition"
 
     @property
     def oriented_weights(self) -> np.ndarray:
@@ -163,9 +154,7 @@ def feature_importance(
     space: FeatureSpace,
     *,
     ridge: float = CORPUS_RIDGE_DEFAULT,
-    measures=MEASURES,
     warm_starts: dict[str, np.ndarray] | None = None,
-    level: str = "corpus",
     piece_id: str | None = None,
 ) -> ImportanceReport:
     """Fit the nested model family and read off the three measures.
@@ -175,45 +164,35 @@ def feature_importance(
     weight_j comes from the full model, explained_j = H_null - H_single_j,
     unique_j = H_loo_j - H_full (entropies in nats per chord).
 
-    measures restricts which sub-fits run; warm_starts (key -> weight
-    vector) seeds the optimizer, e.g. with full-corpus estimates when
-    refitting bootstrap replicates. The corpus statistics are built once
-    and shared by every sub-fit, so each sub-fit equals a standalone fit()
-    with its mask.
+    warm_starts (key -> weight vector) seeds the optimizer, e.g. with
+    full-corpus estimates when refitting bootstrap replicates. The corpus
+    statistics are built once and shared by every sub-fit, so each sub-fit
+    equals a standalone fit() with its mask.
     """
     if corpus.n_events == 0:
         raise ValueError("importance needs a corpus with at least one event")
     names = tuple(space.feature_names)
-    n = space.n_features
     warm_starts = warm_starts or {}
 
     stats = _statistics(space, corpus)
     fits: dict[str, FitResult] = {
         key: _newton(stats, mask, ridge, warm_starts.get(key))
-        for key, mask in _sub_fit_masks(names, measures).items()
+        for key, mask in _sub_fit_masks(names).items()
     }
-
-    weights = np.full(n, np.nan)
-    explained = np.full(n, np.nan)
-    unique = np.full(n, np.nan)
-    h_null = fits["null"].cross_entropy if "null" in fits else math.nan
-    h_full = fits["full"].cross_entropy if "full" in fits else math.nan
-    if "full" in fits:
-        weights = fits["full"].weights.copy()
-    for j, name in enumerate(names):
-        if f"single:{name}" in fits:
-            explained[j] = h_null - fits[f"single:{name}"].cross_entropy
-        if f"loo:{name}" in fits:
-            unique[j] = fits[f"loo:{name}"].cross_entropy - h_full
+    h_null = fits["null"].cross_entropy
+    h_full = fits["full"].cross_entropy
 
     return ImportanceReport(
         feature_names=names,
-        weights=weights,
-        explained_entropy=explained,
-        unique_explained_entropy=unique,
+        weights=fits["full"].weights.copy(),
+        explained_entropy=np.array(
+            [h_null - fits[f"single:{name}"].cross_entropy for name in names]
+        ),
+        unique_explained_entropy=np.array(
+            [fits[f"loo:{name}"].cross_entropy - h_full for name in names]
+        ),
         null_cross_entropy=h_null,
         full_cross_entropy=h_full,
-        level=level,
         piece_id=piece_id,
         fits=fits,
     )
@@ -223,7 +202,6 @@ def interval_rows(
     point: ImportanceReport,
     lower: dict[str, np.ndarray] | None = None,
     upper: dict[str, np.ndarray] | None = None,
-    measures=MEASURES,
 ) -> list[dict]:
     """Long-format rows, one per (measure, feature): estimate, lower, upper
     and their oriented values.
@@ -234,7 +212,7 @@ def interval_rows(
     """
     orient = orientation(point.feature_names)
     out = []
-    for measure in measures:
+    for measure in MEASURES:
         for j, name in enumerate(point.feature_names):
             est = float(point.values(measure)[j])
             lo, hi = (None, None) if lower is None else (
@@ -265,7 +243,6 @@ class BootstrapResult:
     """
 
     feature_names: tuple[str, ...]
-    measures: tuple[str, ...]
     point: ImportanceReport
     lower: dict[str, np.ndarray]
     upper: dict[str, np.ndarray]
@@ -282,7 +259,7 @@ class BootstrapResult:
 
     def rows(self) -> list[dict]:
         """Long-format rows with percentile bounds, as interval_rows."""
-        return interval_rows(self.point, self.lower, self.upper, self.measures)
+        return interval_rows(self.point, self.lower, self.upper)
 
     def to_dict(self) -> dict:
         return {
@@ -315,7 +292,6 @@ def bootstrap(
     seed: int = 0,
     level: float = DEFAULT_LEVEL,
     ridge: float = CORPUS_RIDGE_DEFAULT,
-    measures=MEASURES,
     threads: int = 1,
 ) -> BootstrapResult:
     """Piece-level nonparametric bootstrap of the importance measures.
@@ -323,8 +299,9 @@ def bootstrap(
     Resamples the pieces of a collapsed corpus with replacement n_replicates
     times, reruns feature_importance per replicate (warm-started from the
     full-corpus fits), and returns percentile intervals at the given level.
-    With threads > 1 the point nest and the replicates run on a pool of that
-    many threads; with one, in the calling thread. The results are the same.
+    The point nest runs in the calling thread, and so do the replicates at
+    threads=1; with threads > 1 the replicates run on a pool of that many
+    threads. The results are the same.
     """
     if len(pieces.piece_ids) < 2:
         raise ValueError("bootstrap needs at least 2 pieces to resample")
@@ -332,35 +309,24 @@ def bootstrap(
         raise ValueError("n_replicates must be >= 1")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be strictly between 0 and 1")
-    measures = tuple(measures)
-    for m in measures:
-        if m not in MEASURES:
-            raise ValueError(f"unknown measure: {m!r}")
+
+    point = feature_importance(pieces, space, ridge=ridge)
+    warm = {key: res.weights for key, res in point.fits.items()}
 
     def run_replicate(r: int) -> ImportanceReport:
         mult = _replicate_multiplicities(seed, r, len(pieces.piece_ids))
         return feature_importance(
-            corpus=pieces.resampled(mult),
-            space=space,
-            ridge=ridge,
-            measures=measures,
-            warm_starts=warm,
+            pieces.resampled(mult), space, ridge=ridge, warm_starts=warm
         )
 
     if threads == 1:
-        point = feature_importance(pieces, space, ridge=ridge, measures=measures)
-        warm = {key: res.weights for key, res in point.fits.items()}
         reports = [run_replicate(r) for r in range(n_replicates)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            point = pool.submit(
-                feature_importance, pieces, space, ridge=ridge, measures=measures
-            ).result()
-            warm = {key: res.weights for key, res in point.fits.items()}
             reports = list(pool.map(run_replicate, range(n_replicates)))
 
     replicates = {
-        m: np.array([rep.values(m) for rep in reports]) for m in measures
+        m: np.array([rep.values(m) for rep in reports]) for m in MEASURES
     }
     alpha = (1.0 - level) / 2.0
     lower = {m: np.quantile(v, alpha, axis=0) for m, v in replicates.items()}
@@ -369,7 +335,6 @@ def bootstrap(
 
     return BootstrapResult(
         feature_names=tuple(space.feature_names),
-        measures=measures,
         point=point,
         lower=lower,
         upper=upper,
@@ -403,7 +368,6 @@ def per_composition_importance(
     space: FeatureSpace,
     *,
     ridge: float = COMPOSITION_RIDGE_DEFAULT,
-    measures=MEASURES,
 ) -> PerCompositionResult:
     """Fit the importance family separately on every piece of a corpus.
 
@@ -417,14 +381,5 @@ def per_composition_importance(
         if piece.n_events < 2:
             skipped.append(piece_id)
             continue
-        reports.append(
-            feature_importance(
-                corpus=piece,
-                space=space,
-                ridge=ridge,
-                measures=measures,
-                level="composition",
-                piece_id=piece_id,
-            )
-        )
+        reports.append(feature_importance(piece, space, ridge=ridge, piece_id=piece_id))
     return PerCompositionResult(reports=reports, skipped=tuple(skipped))

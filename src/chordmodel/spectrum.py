@@ -177,10 +177,10 @@ def tone_similarity_profile(
 ) -> np.ndarray:
     """Cosine similarity of a chord spectrum with the tone template at every bin.
 
-    Entry k is 1 - spectral_distance(harmonic_tone_spectrum(k / bins_per_pc
-    ... i.e. the grid point), chord_spectrum). All grid templates are
-    circular shifts of one base template, so the profile is a circular
-    cross-correlation, evaluated here with an FFT.
+    Entry k is the cosine similarity, clipped to [0, 1], of the chord
+    spectrum with the tone template at grid point k * bin_width. All grid
+    templates are circular shifts of one base template, so the profile is a
+    circular cross-correlation, evaluated here with an FFT.
     """
     base = _base_tone_spectrum(params)
     w = np.asarray(chord_spectrum, dtype=float)

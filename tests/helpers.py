@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize, root
 
-from chordmodel.cli import FEATURE_CSV_COLUMNS, _write_csv
+from chordmodel.cli import FEATURE_CSV_COLUMNS, _csv_header, _csv_value
 from chordmodel.corpus import (
     CorpusFile,
     Piece,
@@ -175,7 +175,9 @@ def features_csv_reference(space, corpus: CorpusFile, config) -> bytes:
                 prev_id, prev_str = cur_id, format_pcset(chord)
 
     buf = io.StringIO(newline="")
-    _write_csv(buf, FEATURE_CSV_COLUMNS, rows(), config)
+    writer = _csv_header(buf, FEATURE_CSV_COLUMNS, config)
+    for row in rows():
+        writer.writerow([_csv_value(row[c]) for c in FEATURE_CSV_COLUMNS])
     return buf.getvalue().encode("utf-8")
 
 

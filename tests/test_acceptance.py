@@ -385,7 +385,7 @@ def test_bootstrap_reproducible_and_degenerate_cases(space):
             seed=17,
         ),
     )
-    kwargs = dict(n_replicates=6, seed=23, level=0.95, measures=("weight",))
+    kwargs = dict(n_replicates=6, seed=23, level=0.95)
     a = bootstrap(varied, space, **kwargs)
     b = bootstrap(varied, space, **kwargs)
     c = bootstrap(varied, space, threads=3, **kwargs)
@@ -395,12 +395,12 @@ def test_bootstrap_reproducible_and_degenerate_cases(space):
         and np.array_equal(a.upper["weight"], other.upper["weight"])
         for other in (b, c)
     )
-    one = bootstrap(varied, space, n_replicates=1, seed=23, measures=("weight",))
+    one = bootstrap(varied, space, n_replicates=1, seed=23)
     single_degenerate = np.array_equal(
         one.lower["weight"], one.upper["weight"]
     ) and np.array_equal(one.lower["weight"], one.replicates["weight"][0])
     clones = collapsed(space, make_corpus([TONAL_PIECES[0]] * 10))
-    cl = bootstrap(clones, space, n_replicates=5, seed=3, measures=("weight",))
+    cl = bootstrap(clones, space, n_replicates=5, seed=3)
     zero_width = np.array_equal(cl.lower["weight"], cl.upper["weight"])
     ok = bit_exact and single_degenerate and zero_width
     assert report(

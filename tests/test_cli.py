@@ -30,6 +30,7 @@ from chordmodel.corpus import (
     write_corpus,
 )
 from chordmodel.features import FEATURE_NAMES, get_feature_space
+from chordmodel.importance import CORPUS_RIDGE_DEFAULT, DEFAULT_LEVEL
 from chordmodel.model import EnergyModel, sample_sequence
 from chordmodel.spectrum import SpectrumParams
 
@@ -134,15 +135,15 @@ def test_failed_importance_write_replaces_no_file(runner, corpus_file,
     run(runner, *cached("importance", corpus_file, "--per-piece", "-o", prefix))
     names = ["imp.csv", "imp.json", "imp.pieces.csv"]
     before = {name: (tmp_path / name).read_bytes() for name in names}
-    real = cli._write_csv
+    real = cli._write_csv_file
 
-    def fail_in_pieces_csv(fh, columns, rows, config):
+    def fail_in_pieces_csv(path, columns, rows, config):
         if columns == cli.PIECE_CSV_COLUMNS:
-            real(fh, columns, rows[:2], config)
+            real(path, columns, rows[:2], config)
             raise OSError("disk full")
-        real(fh, columns, rows, config)
+        real(path, columns, rows, config)
 
-    monkeypatch.setattr(cli, "_write_csv", fail_in_pieces_csv)
+    monkeypatch.setattr(cli, "_write_csv_file", fail_in_pieces_csv)
     with pytest.raises(OSError, match="disk full"):
         run(runner, *cached("importance", corpus_file, "--per-piece", "-o", prefix,
                             "--ridge", "0.5"))
@@ -351,6 +352,17 @@ def test_fit_stdout_and_determinism(runner, corpus_file):
     assert payload["result"]["converged"] is True
     assert payload["result"]["n_events"] == 10
     assert payload["corpus"] == "corpus.txt"
+
+
+def test_fit_without_options_echoes_the_default_config(runner, corpus_file):
+    """The option defaults and RunConfig's are one set of values, and the
+    spectrum ones are SpectrumParams's. --cache-dir enters no config."""
+    payload = json.loads(run(runner, *cached("fit", corpus_file)).output)
+    assert payload["config"] == RunConfig(corpus_format="plain").to_dict()
+    config, params = RunConfig(), SpectrumParams()
+    assert (config.rho, config.sigma, config.harmonics, config.bins) == (
+        params.rho, params.sigma, params.n_harmonics, params.n_bins)
+    assert (config.ridge, config.level) == (CORPUS_RIDGE_DEFAULT, DEFAULT_LEVEL)
 
 
 def test_fit_null_model_hits_uniform_entropy(runner, corpus_file):

@@ -14,7 +14,6 @@ from chordmodel.importance import (
     feature_importance,
     orientation,
     per_composition_importance,
-    required_fits,
 )
 from chordmodel.model import fit
 
@@ -50,18 +49,6 @@ def vl_report(space, vl_corpus):
     return feature_importance(vl_corpus, space)
 
 
-def test_required_fits_cover_requested_measures():
-    assert required_fits(NAMES) == (
-        ["full", "null"]
-        + [f"single:{n}" for n in NAMES]
-        + [f"loo:{n}" for n in NAMES]
-    )
-    assert required_fits(NAMES, measures=("weight",)) == ["full"]
-    assert required_fits(NAMES, measures=("explained_entropy",)) == [
-        "null"
-    ] + [f"single:{n}" for n in NAMES]
-
-
 def test_orientation_flips_distance_features():
     assert list(orientation(NAMES)) == [1.0, 1.0, -1.0, -1.0]
 
@@ -90,7 +77,11 @@ def test_importance_identities_and_invariants(space, vl_corpus, vl_report):
 def test_nest_subfits_equal_standalone_fits(space, vl_corpus, ridge):
     """Sharing one statistics object across the nest changes no bit."""
     report = feature_importance(vl_corpus, space, ridge=ridge)
-    assert list(report.fits) == required_fits(NAMES)
+    assert list(report.fits) == (
+        ["full", "null"]
+        + [f"single:{n}" for n in NAMES]
+        + [f"loo:{n}" for n in NAMES]
+    )
     for key, sub in report.fits.items():
         alone = fit(vl_corpus, space, sub.feature_mask, ridge)
         assert np.array_equal(sub.weights, alone.weights), key
@@ -137,14 +128,6 @@ def test_duplicated_feature_splits_shared_information(space, vl_corpus):
     assert abs(report.unique_explained_entropy[k]) < 1e-6
 
 
-def test_measures_restriction_skips_fits(space, vl_corpus):
-    report = feature_importance(vl_corpus, space, measures=("weight",))
-    assert set(report.fits) == {"full"}
-    assert np.all(np.isnan(report.explained_entropy))
-    assert np.all(np.isnan(report.unique_explained_entropy))
-    assert not np.any(np.isnan(report.weights))
-
-
 def test_report_rows_shape(space, vl_report):
     rows = vl_report.rows()
     assert len(rows) == len(MEASURES) * len(NAMES)
@@ -162,6 +145,8 @@ def test_report_rows_shape(space, vl_report):
     ][0]
     assert entropy_row["oriented_value"] == entropy_row["value"]
     assert "piece_id" not in rows[0]
+    assert vl_report.level == "corpus"
+    assert vl_report.to_dict()["level"] == "corpus"
 
 
 def test_bootstrap_is_deterministic_and_thread_independent(space, vl_corpus):
@@ -218,7 +203,7 @@ def test_bootstrap_single_replicate_degenerate_interval(space, vl_corpus):
 def test_bootstrap_identical_pieces_zero_width(space):
     piece = [(0, 4, 7), (0, 5, 9), (2, 7, 11), (0, 4, 7), (0, 4, 7, 10)]
     corpus = collapsed(space, make_corpus([piece] * 12))
-    res = bootstrap(corpus, space, n_replicates=6, seed=1, measures=("weight",))
+    res = bootstrap(corpus, space, n_replicates=6, seed=1)
     assert np.array_equal(res.lower["weight"], res.upper["weight"])
     assert np.allclose(res.lower["weight"], res.point.weights, atol=1e-6)
 
@@ -230,9 +215,7 @@ def test_bootstrap_interval_covers_generating_weight(space):
             space, np.array([0.0, 0.0, 0.0, -1.0]), n_pieces=24, length=30, seed=21
         ),
     )
-    res = bootstrap(
-        corpus, space, n_replicates=40, seed=2, level=0.99, measures=("weight",)
-    )
+    res = bootstrap(corpus, space, n_replicates=40, seed=2, level=0.99)
     j = NAMES.index("voice_leading_distance")
     assert res.lower["weight"][j] <= -1.0 <= res.upper["weight"][j]
     assert res.n_nonconverged == 0
@@ -247,14 +230,11 @@ def test_bootstrap_validates_inputs(space, vl_corpus):
         bootstrap(vl_corpus, space, n_replicates=0)
     with pytest.raises(ValueError, match="level"):
         bootstrap(vl_corpus, space, n_replicates=2, level=1.0)
-    with pytest.raises(ValueError, match="unknown measure"):
-        bootstrap(vl_corpus, space, n_replicates=2, measures=("loudness",))
 
 
 def test_flagged_property_threshold(space, vl_report):
     res = BootstrapResult(
         feature_names=NAMES,
-        measures=MEASURES,
         point=vl_report,
         lower={},
         upper={},
@@ -280,6 +260,7 @@ def test_per_composition_matches_single_piece_fit(space):
     assert result.skipped == ("tiny",)
     assert [r.piece_id for r in result.reports] == ["a", "b"]
     assert all(r.level == "composition" for r in result.reports)
+    assert all(r.to_dict()["level"] == "composition" for r in result.reports)
     # equals a corpus-level run on just that piece at the same ridge
     solo = feature_importance(
         collapsed(space, make_corpus(pieces[:1], ids=["a"])), space, ridge=1e-3
